@@ -845,3 +845,93 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 		}
 	}
 }
+
+// closureParityStore is a graph built to stress closures with both ends
+// unbound: p has a cycle (a→b→c→a), a self-loop (d→d) and edges into nodes
+// that are only ever objects (f, j); q hangs a second cycle (h⇄i) off the
+// p-graph; k and l are subjects that carry only other predicates.
+func closureParityStore() *rdf.Store {
+	st := rdf.NewStore()
+	iri := func(s string) rdf.Term { return rdf.NewIRI(onto + s) }
+	for _, e := range [][3]string{
+		{"a", "p", "b"}, {"b", "p", "c"}, {"c", "p", "a"}, {"c", "p", "d"},
+		{"d", "p", "d"}, {"e", "p", "f"}, {"g", "p", "b"},
+		{"b", "q", "h"}, {"h", "q", "i"}, {"i", "q", "h"}, {"d", "q", "j"},
+		{"k", "r", "m"}, {"l", "r", "k"},
+	} {
+		st.Add(rdf.Triple{S: iri(e[0]), P: iri(e[1]), O: iri(e[2])})
+	}
+	st.Add(rdf.Triple{S: iri("k"), P: iri("label"), O: rdf.NewLiteral("k")})
+	return st
+}
+
+// closureParityShapes are the closure shapes with both ends unbound.
+// (^p)+ repeats a step whose source may be an object only, which must not
+// start a walk; the last two nest a closure inside the repeated path, where
+// a node's successors depend on whether it is probed bound or enumerated
+// unbound.
+var closureParityShapes = []string{
+	`SELECT ?x ?y WHERE { ?x s:p+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x s:p* ?y }`,
+	`SELECT ?x ?y WHERE { ?x s:p? ?y }`,
+	`SELECT ?x ?y WHERE { ?x ^s:p+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (^s:p)+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (s:p|s:q)+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (s:p/s:q)* ?y }`,
+	`SELECT DISTINCT ?y WHERE { ?x s:p+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (s:p|(s:q*/^s:p))+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (s:q/(^s:p)+)* ?y }`,
+}
+
+// checkClosureParity runs every unbound-closure shape over g at
+// Parallelism 1, 2 and 4 and compares the executor's solution multiset
+// with the term-level reference evaluator's.
+func checkClosureParity(t *testing.T, g rdf.Graph) {
+	t.Helper()
+	pre := `PREFIX s: <` + onto + `> `
+	for _, src := range closureParityShapes {
+		q, err := Parse(pre + src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		want, err := refEvalQuery(g, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := renderBindings(want.Bindings, want.Vars)
+		for _, par := range []int{1, 2, 4} {
+			got, err := EvalQueryOpts(g, q, Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gv := renderBindings(got.Bindings, got.Vars); !reflect.DeepEqual(gv, w) {
+				t.Fatalf("%s (parallelism %d):\n got %v\nwant %v", src, par, gv, w)
+			}
+		}
+	}
+}
+
+func TestUnboundClosureParity(t *testing.T) {
+	forceParallel(t)
+	checkClosureParity(t, closureParityStore())
+}
+
+// TestUnboundClosureParityRandom repeats the shapes over random graphs on
+// a small node set, dense enough for cycles and self-loops, with some
+// nodes only ever objects.
+func TestUnboundClosureParityRandom(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(41))
+	preds := []string{"p", "q", "r"}
+	for trial := 0; trial < 40; trial++ {
+		st := rdf.NewStore()
+		for i := 0; i < 24; i++ {
+			st.Add(rdf.Triple{
+				S: rdf.NewIRI(fmt.Sprintf("%sn%d", onto, rng.Intn(8))),
+				P: rdf.NewIRI(onto + preds[rng.Intn(len(preds))]),
+				O: rdf.NewIRI(fmt.Sprintf("%sn%d", onto, rng.Intn(11))),
+			})
+		}
+		t.Run(fmt.Sprint(trial), func(t *testing.T) { checkClosureParity(t, st) })
+	}
+}
