@@ -801,6 +801,53 @@ func BenchmarkSPARQLPathHead(b *testing.B) {
 	})
 }
 
+// BenchmarkSPARQLPathClosure is a closure with both ends unbound over one
+// user's KB view: ?x oreAssemblage+ ?y over the default ontology, bare
+// (Pad0) and padded with 50 000 unrelated triples (Pad50k). Both return
+// the same pairs, so ns/op should follow the answer, not the padding.
+func BenchmarkSPARQLPathClosure(b *testing.B) {
+	q := `SELECT ?x ?y WHERE { ?x <` + dataset.IRI("oreAssemblage").Value + `>+ ?y }`
+	parsed, err := sparql.Parse(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sparql.Compile(parsed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pad := range []struct {
+		name  string
+		extra int
+	}{{"Pad0", 0}, {"Pad50k", 50000}} {
+		b.Run(pad.name, func(b *testing.B) {
+			p := kb.NewPlatform()
+			if err := p.RegisterUser("alice"); err != nil {
+				b.Fatal(err)
+			}
+			cfg := dataset.DefaultOntology()
+			cfg.ExtraTriples = pad.extra
+			if _, err := dataset.PopulateOntology(p, "alice", cfg); err != nil {
+				b.Fatal(err)
+			}
+			view, err := p.View("alice")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if err := plan.Stream(view, func(sparql.Solution) bool { n++; return true }); err != nil {
+					b.Fatal(err)
+				}
+				if n == 0 {
+					b.Fatal("no solutions")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSPARQLCompiledPlan isolates what the compiled-plan cache buys on
 // the hot enrichment path: Cached evaluates a pre-compiled plan (what a
 // QueryCache hit executes — no lexing, parsing or planning), ParsePlanEval

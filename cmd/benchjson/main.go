@@ -8,7 +8,11 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run='^$' . | go run ./cmd/benchjson -out BENCH.json
+//	go test -bench=. -benchmem -run='^$' . | go run ./cmd/benchjson -nproc "$(nproc)" -out BENCH.json
+//
+// -nproc records the host's core count in the artifact and marks entries
+// run at more GOMAXPROCS than that as oversubscribed, so nobody reads
+// their overhead as scaling.
 //
 // With -guard, benchjson also enforces the parallel-scaling floor and
 // exits nonzero when any matched family's highest-CPU ns/op exceeds its
@@ -32,6 +36,7 @@ func main() {
 	out := flag.String("out", "", "JSON output file (default stdout)")
 	guard := flag.String("guard", "", "regexp of benchmark families whose highest-CPU ns/op must stay within -guard-ratio of their cpu=1 ns/op; exit nonzero on violation")
 	guardRatio := flag.Float64("guard-ratio", 1.10, "max allowed highest-CPU/single-core ns/op ratio under -guard")
+	nproc := flag.Int("nproc", 0, "the host's core count; entries with a higher cpu are marked oversubscribed (0: unknown)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -51,6 +56,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	report.SetNProc(*nproc)
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fatal(err)

@@ -12,7 +12,10 @@ import (
 // diff BENCH.json files across PRs without sniffing their shape. Version 1
 // was the unversioned benchmark-name → entry-list map; version 2 flattened
 // the report into a sorted entry list under a top-level schema_version.
-const SchemaVersion = 2
+// Version 3 adds the host: goos, goarch and CPU model from go test's
+// header, nproc from the caller, and an oversubscribed mark on entries run
+// at more GOMAXPROCS than the host has cores.
+const SchemaVersion = 3
 
 // Metrics is one benchmark's measurements: unit → value. Units come
 // straight from the benchmark line ("ns/op", "B/op", "allocs/op", plus any
@@ -27,6 +30,9 @@ type Entry struct {
 	Name    string  `json:"name"`
 	CPU     int     `json:"cpu"`
 	Metrics Metrics `json:"metrics"`
+	// Oversubscribed marks a run at more GOMAXPROCS than the host has
+	// cores: its ns/op shows scheduling overhead, not scaling.
+	Oversubscribed bool `json:"oversubscribed,omitempty"`
 }
 
 // Report is the artifact: the schema version plus every (name, cpu)
@@ -36,8 +42,24 @@ type Entry struct {
 // (e.g. -count>1), each metric is the mean over the repeated runs, so the
 // artifact reflects all measurements instead of whichever run came last.
 type Report struct {
-	SchemaVersion int     `json:"schema_version"`
-	Benchmarks    []Entry `json:"benchmarks"`
+	SchemaVersion int `json:"schema_version"`
+	// The host the benchmarks ran on. GOOS, GOARCH and CPUModel come from
+	// go test's header lines; NProc, the host's core count, is not in the
+	// output and is set by SetNProc (0 when unknown).
+	GOOS       string  `json:"goos,omitempty"`
+	GOARCH     string  `json:"goarch,omitempty"`
+	CPUModel   string  `json:"cpu_model,omitempty"`
+	NProc      int     `json:"nproc,omitempty"`
+	Benchmarks []Entry `json:"benchmarks"`
+}
+
+// SetNProc records the host's core count and marks every entry run at
+// more GOMAXPROCS than that as oversubscribed.
+func (r *Report) SetNProc(n int) {
+	r.NProc = n
+	for i := range r.Benchmarks {
+		r.Benchmarks[i].Oversubscribed = n > 0 && r.Benchmarks[i].CPU > n
+	}
 }
 
 // benchKey identifies one aggregation bucket: repeated runs of a name at
@@ -52,7 +74,18 @@ type benchKey struct {
 func Parse(out string) (Report, error) {
 	sums := map[benchKey]Metrics{}
 	counts := map[benchKey]map[string]int{}
+	report := Report{SchemaVersion: SchemaVersion}
 	for _, line := range strings.Split(out, "\n") {
+		// Header lines name the host: "goos: linux", "cpu: <model>".
+		hk, hv, _ := strings.Cut(line, ": ")
+		switch hv = strings.TrimSpace(hv); hk {
+		case "goos":
+			report.GOOS = hv
+		case "goarch":
+			report.GOARCH = hv
+		case "cpu":
+			report.CPUModel = hv
+		}
 		fields := strings.Fields(line)
 		// A result line is: name iterations (value unit)+
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -86,7 +119,6 @@ func Parse(out string) (Report, error) {
 			counts[key][unit]++
 		}
 	}
-	report := Report{SchemaVersion: SchemaVersion}
 	for key, acc := range sums {
 		m := Metrics{}
 		for unit, sum := range acc {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"regexp"
 	"sort"
 	"strings"
@@ -50,6 +51,12 @@ func TestParse(t *testing.T) {
 	}
 	if r.SchemaVersion != SchemaVersion {
 		t.Errorf("schema_version = %d, want %d", r.SchemaVersion, SchemaVersion)
+	}
+	if r.GOOS != "linux" || r.GOARCH != "amd64" || r.CPUModel != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("host = %q %q %q", r.GOOS, r.GOARCH, r.CPUModel)
+	}
+	if r.NProc != 0 {
+		t.Errorf("nproc = %d before SetNProc, want 0 (unknown)", r.NProc)
 	}
 	if len(r.Benchmarks) != 4 {
 		t.Fatalf("parsed %d entries, want 4: %v", len(r.Benchmarks), r.Benchmarks)
@@ -258,5 +265,45 @@ PASS
 	}
 	if err := Guard(r, regexp.MustCompile("BenchmarkRegresses"), 1.5); err != nil {
 		t.Errorf("ratio 1.5 should tolerate a 1.3x entry: %v", err)
+	}
+}
+
+// SetNProc records the host's core count and marks exactly the entries run
+// at more GOMAXPROCS than that, so a 1-core snapshot's -cpu 4 figures
+// cannot be read as scaling. Unmarked entries carry no field on the wire.
+func TestSetNProc(t *testing.T) {
+	r, err := Parse(`BenchmarkA    	10	100 ns/op
+BenchmarkA-2  	10	 60 ns/op
+BenchmarkA-4  	10	 70 ns/op
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetNProc(2)
+	if r.NProc != 2 {
+		t.Errorf("nproc = %d, want 2", r.NProc)
+	}
+	for _, e := range r.Benchmarks {
+		if want := e.CPU > 2; e.Oversubscribed != want {
+			t.Errorf("cpu=%d oversubscribed = %v, want %v", e.CPU, e.Oversubscribed, want)
+		}
+	}
+	enc, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(enc), `"oversubscribed":true`); got != 1 {
+		t.Errorf("%d oversubscribed marks in %s, want 1", got, enc)
+	}
+	if !strings.Contains(string(enc), `"nproc":2`) || strings.Contains(string(enc), `"oversubscribed":false`) {
+		t.Errorf("artifact %s", enc)
+	}
+
+	// Unknown core count: nothing is marked.
+	r.SetNProc(0)
+	for _, e := range r.Benchmarks {
+		if e.Oversubscribed {
+			t.Errorf("cpu=%d marked with nproc unknown", e.CPU)
+		}
 	}
 }

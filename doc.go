@@ -62,7 +62,13 @@
 // deduplicates on projected ID tuples, ASK and LIMIT-without-ORDER-BY
 // terminate the pipeline early, and terms are decoded only at projection.
 // Plan.Stream exposes the zero-materialisation path (no Binding maps);
-// Eval/EvalQuery keep the map-based Result for compatibility.
+// Eval/EvalQuery keep the map-based Result for compatibility. A closure
+// (p+, p*, p?) costs the edges of its inner path plus its answer, not the
+// view: with both ends unbound the inner path is enumerated once into a
+// successor map and one breadth-first search runs per node that has a
+// first step, so unrelated facts in a user's KB do not slow it; p* and p?
+// with both ends unbound still visit every subject, since each matches
+// itself at length zero.
 //
 // SQL evaluation (internal/sqlexec) mirrors the same design on the
 // relational side. sqlexec.Compile lowers a parsed SELECT once into an

@@ -106,10 +106,10 @@ func (e *Enricher) planSQL(text string, sel *sqlparser.Select) (*sqlexec.SelectP
 	return e.cache.SQLSelect(db, text, opts, func() (*sqlparser.Select, error) { return sel, nil })
 }
 
-// planSPARQL compiles a SPARQL text into a physical plan, consulting the
+// PlanSPARQL compiles a SPARQL text into a physical plan, consulting the
 // cache when enabled. A cache hit skips lexing, parsing and planning: the
 // returned plan is ready for ID-native execution against any KB view.
-func (e *Enricher) planSPARQL(text string) (*sparql.Plan, error) {
+func (e *Enricher) PlanSPARQL(text string) (*sparql.Plan, error) {
 	if e.cache == nil {
 		q, err := sparql.Parse(text)
 		if err != nil {
@@ -809,7 +809,7 @@ func (e *Enricher) streamSPARQL(view rdf.Graph, text string, st *Stats, minVars 
 	st.SPARQLQueries = append(st.SPARQLQueries, text)
 	t0 := time.Now()
 	defer func() { st.SPARQL += time.Since(t0) }()
-	p, err := e.planSPARQL(text)
+	p, err := e.PlanSPARQL(text)
 	if err != nil {
 		return fmt.Errorf("core: SPARQL: %w", err)
 	}

@@ -186,19 +186,36 @@ func TestV1SuccessStatsContract(t *testing.T) {
 		t.Errorf("rows = %v", out.Rows)
 	}
 
-	// SPARQL responses carry the same serving stats.
-	resp = postJSON(t, ts.URL+"/api/v1/sparql", `{"user":"alice","query":"SELECT ?s WHERE { ?s ?p ?o }"}`)
-	defer resp.Body.Close()
-	var sp struct {
-		Stats *struct {
-			CacheHit bool `json:"cache_hit"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sp); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Stats == nil {
-		t.Error("sparql response missing stats")
+	// SPARQL responses carry the same serving stats, plus the SPARQL
+	// stage's time and why it did not run parallel; a cache hit repeats
+	// the original run's stage fields.
+	for _, wantHit := range []bool{false, true} {
+		resp = postJSON(t, ts.URL+"/api/v1/sparql", `{"user":"alice","query":"SELECT ?s WHERE { ?s ?p ?o }"}`)
+		var sp struct {
+			Stats *struct {
+				CacheHit         bool   `json:"cache_hit"`
+				SPARQLUS         *int64 `json:"sparql_us"`
+				ParallelFallback string `json:"parallel_fallback"`
+			} `json:"stats"`
+		}
+		err := json.NewDecoder(resp.Body).Decode(&sp)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Stats == nil {
+			t.Fatal("sparql response missing stats")
+		}
+		if sp.Stats.CacheHit != wantHit {
+			t.Errorf("sparql cache_hit = %v, want %v", sp.Stats.CacheHit, wantHit)
+		}
+		if sp.Stats.SPARQLUS == nil || *sp.Stats.SPARQLUS < 0 {
+			t.Errorf("sparql_us = %v, want a stage time", sp.Stats.SPARQLUS)
+		}
+		// The KB is empty, far below the parallel threshold.
+		if !strings.HasPrefix(sp.Stats.ParallelFallback, "sparql: ") {
+			t.Errorf("parallel_fallback = %q, want a sparql-stage reason", sp.Stats.ParallelFallback)
+		}
 	}
 }
 

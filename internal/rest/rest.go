@@ -13,6 +13,7 @@ package rest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -595,28 +596,74 @@ func (s *Server) sparqlQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	res, err := sparql.Eval(view, req.Query)
+	out, size, err := s.evalSPARQL(r.Context(), view, req.Query)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	out := sparqlResultJSON{Vars: res.Vars, Bool: res.Bool, Bindings: make([]map[string]string, len(res.Bindings))}
-	size := int64(64)
-	for i, b := range res.Bindings {
-		row := map[string]string{}
-		for v, t := range b {
-			row[v] = t.Value
-			size += int64(len(v)+len(t.Value)) + 32
-		}
-		out.Bindings[i] = row
-	}
 	if s.cache != nil {
 		ent := out
-		ent.Stats = &statsJSON{}
+		st := *out.Stats
+		ent.Stats = &st
 		s.cache.Put(key, ent, size)
 	}
-	out.Stats = &statsJSON{ElapsedMicros: time.Since(start).Microseconds()}
+	out.Stats.ElapsedMicros = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, out)
+}
+
+// sparqlCheckEvery is how many solutions the SPARQL endpoint streams
+// between checks that its client is still there.
+const sparqlCheckEvery = 256
+
+// evalSPARQL runs a SPARQL query over a user's view through the enricher's
+// plan cache and execution options, decoding each solution straight into
+// its wire row. It also returns the result's size for the cache's byte
+// budget. When ctx ends, evaluation stops early, which releases the view's
+// read lock, and the error is ctx's.
+func (s *Server) evalSPARQL(ctx context.Context, view rdf.Graph, text string) (sparqlResultJSON, int64, error) {
+	t0 := time.Now()
+	plan, err := s.enricher.PlanSPARQL(text)
+	if err != nil {
+		return sparqlResultJSON{}, 0, err
+	}
+	opts := s.enricher.ExecOptions().SPARQL()
+	out := sparqlResultJSON{Vars: plan.Vars(), Bindings: []map[string]string{}}
+	size := int64(64)
+	var fallback string
+	if plan.Query().Form == sparql.Ask {
+		res, err := plan.EvalOpts(view, opts)
+		if err != nil {
+			return sparqlResultJSON{}, 0, err
+		}
+		out.Bool, fallback = res.Bool, res.ParallelFallback
+	} else {
+		info, err := plan.StreamInfoOpts(view, opts, func(sol sparql.Solution) bool {
+			if len(out.Bindings)%sparqlCheckEvery == 0 && ctx.Err() != nil {
+				return false
+			}
+			row := make(map[string]string, len(out.Vars))
+			for i, v := range out.Vars {
+				if t, ok := sol.Term(i); ok {
+					row[v] = t.Value
+					size += int64(len(v)+len(t.Value)) + 32
+				}
+			}
+			out.Bindings = append(out.Bindings, row)
+			return true
+		})
+		if err != nil {
+			return sparqlResultJSON{}, 0, err
+		}
+		fallback = info.ParallelFallback
+	}
+	if err := ctx.Err(); err != nil {
+		return sparqlResultJSON{}, 0, err
+	}
+	out.Stats = &statsJSON{SPARQLMicros: time.Since(t0).Microseconds()}
+	if fallback != "" {
+		out.Stats.ParallelFallback = "sparql: " + fallback
+	}
+	return out, size, nil
 }
 
 // sparqlResultJSON is the wire form of a direct SPARQL evaluation.

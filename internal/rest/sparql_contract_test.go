@@ -2,10 +2,13 @@ package rest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crosse/internal/core"
@@ -115,6 +118,9 @@ func TestV1SPARQLWireContract(t *testing.T) {
 		if code != http.StatusOK || decode(raw).Bool != wantBool {
 			t.Errorf("%s: %d %s, want bool %v", q, code, raw, wantBool)
 		}
+		if !bytes.Contains(raw, []byte(`"vars":null,"bindings":[]`)) {
+			t.Errorf("%s: ASK body %s, want null vars and empty bindings", q, raw)
+		}
 	}
 
 	// The user is resolved before the query is parsed.
@@ -132,6 +138,52 @@ func TestV1SPARQLWireContract(t *testing.T) {
 		}
 		if e := envelope(t, resp); e.Code != tc.wantCode {
 			t.Errorf("%s: code %q, want %q", tc.body, e.Code, tc.wantCode)
+		}
+	}
+}
+
+// TestV1SPARQLClientGone pins what /api/v1/sparql does once its client has
+// gone: evaluation stops, the answer is the 503 unavailable envelope, and
+// nothing is cached, so the next request evaluates afresh.
+func TestV1SPARQLClientGone(t *testing.T) {
+	ts, s := newV1Server(t, 0, 0)
+	resp := postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
+	resp.Body.Close()
+	for _, subj := range []string{"Mercury", "Lead", "Zinc"} {
+		resp := postJSON(t, ts.URL+"/api/v1/statements", `{"user":"alice","subject":"`+subj+`","property":"isA","object":"HazardousWaste"}`)
+		resp.Body.Close()
+	}
+	for _, q := range []string{
+		`SELECT ?s ?o WHERE { ?s ?p ?o }`,
+		`SELECT ?s WHERE { ?s ?p <http://nowhere/> }`,
+		`ASK { ?s ?p ?o }`,
+	} {
+		body := `{"user":"alice","query":"` + q + `"}`
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/sparql", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503: %s", q, rec.Code, rec.Body)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != codeUnavailable {
+			t.Fatalf("%s: body %s, want the %q envelope", q, rec.Body, codeUnavailable)
+		}
+
+		rec = httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sparql", strings.NewReader(body)))
+		var out struct {
+			Stats struct {
+				CacheHit bool `json:"cache_hit"`
+			} `json:"stats"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%s after cancel: %d %s", q, rec.Code, rec.Body)
+		}
+		if out.Stats.CacheHit {
+			t.Errorf("%s: the cancelled evaluation was cached", q)
 		}
 	}
 }

@@ -984,67 +984,149 @@ func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oB
 	}
 }
 
-// closurePairs evaluates p+, p*, p? by BFS over IDs.
+// closurePairs evaluates p+, p*, p? by breadth-first search over IDs. With
+// the subject bound it walks from that one node, probing pc.p per node; a
+// bound object walks the inverse path. With both ends unbound the cost
+// follows pc.p's edges and the answer, not the view: pc.p is materialised
+// once into a successor map and, for p+, only sources of its edges start a
+// walk, since a node with no first step reaches nothing. Zero-length
+// matches (p*, p?) pair every subject in the view with itself, so those
+// still start from every subject.
 func (e *exec) closurePairs(pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
-	reach := func(start rdf.TermID) []rdf.TermID {
-		visited := map[rdf.TermID]int{start: 0}
-		frontier := []rdf.TermID{start}
-		depth := 0
-		for len(frontier) > 0 {
-			depth++
-			if pc.max >= 0 && depth > pc.max {
-				break
-			}
-			var next []rdf.TermID
-			for _, node := range frontier {
-				for _, pr := range e.pathPairs(pc.p, node, true, 0, false) {
-					if _, ok := visited[pr[1]]; !ok {
-						visited[pr[1]] = depth
-						next = append(next, pr[1])
-					}
-				}
-			}
-			frontier = next
-		}
-		var out []rdf.TermID
-		for node, d := range visited {
-			if d >= pc.min {
-				out = append(out, node)
-			}
+	probe := func(n rdf.TermID) []rdf.TermID {
+		pairs := e.pathPairs(pc.p, n, true, 0, false)
+		out := make([]rdf.TermID, len(pairs))
+		for i, pr := range pairs {
+			out[i] = pr[1]
 		}
 		return out
 	}
-
+	var out [][2]rdf.TermID
 	switch {
 	case sBound:
-		var out [][2]rdf.TermID
-		for _, t := range reach(s) {
-			if oBound && t != o {
-				continue
+		w := newClosureWalk(pc, probe)
+		w.reach(s, func(t rdf.TermID) {
+			if !oBound || t == o {
+				out = append(out, [2]rdf.TermID{s, t})
 			}
-			out = append(out, [2]rdf.TermID{s, t})
-		}
-		return out
-	case oBound:
-		inv := e.closurePairs(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, true, 0, false)
-		out := make([][2]rdf.TermID, len(inv))
-		for i, pr := range inv {
-			out[i] = [2]rdf.TermID{pr[1], pr[0]}
-		}
-		return out
-	default:
-		subjects := map[rdf.TermID]struct{}{}
-		e.r.ForEachIDs(rdf.PatternIDs{}, func(ms, _, _ rdf.TermID) bool {
-			subjects[ms] = struct{}{}
-			return true
 		})
-		var out [][2]rdf.TermID
-		for sub := range subjects {
-			for _, t := range reach(sub) {
-				out = append(out, [2]rdf.TermID{sub, t})
+	case oBound:
+		for _, pr := range e.closurePairs(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, true, 0, false) {
+			out = append(out, [2]rdf.TermID{pr[1], pr[0]})
+		}
+	default:
+		// Zero-length matches pair every subject with itself. A nested
+		// closure enumerated unbound starts only from subjects, but probed
+		// from a bound node it starts there too, so its unbound pairs are
+		// not every node's successors: probe each node, once per
+		// evaluation. Both cases start from every subject.
+		nested := nestsClosure(pc.p)
+		fromSubjects := pc.min == 0 || nested
+		var starts []rdf.TermID
+		succ := map[rdf.TermID][]rdf.TermID{}
+		next := func(n rdf.TermID) []rdf.TermID { return succ[n] }
+		if nested {
+			next = func(n rdf.TermID) []rdf.TermID {
+				ts, ok := succ[n]
+				if !ok {
+					ts = probe(n)
+					succ[n] = ts
+				}
+				return ts
+			}
+		} else {
+			for _, pr := range e.pathPairs(pc.p, 0, false, 0, false) {
+				ts, seen := succ[pr[0]]
+				// Only subjects start a walk, as in the term-level evaluator;
+				// an inverse step's source may be an object only.
+				if !seen && !fromSubjects && e.r.CountIDs(rdf.PatternIDs{S: pr[0]}) > 0 {
+					starts = append(starts, pr[0])
+				}
+				succ[pr[0]] = append(ts, pr[1])
 			}
 		}
-		return out
+		if fromSubjects {
+			starts = e.subjects()
+		}
+		w := newClosureWalk(pc, next)
+		for _, st := range starts {
+			w.reach(st, func(t rdf.TermID) { out = append(out, [2]rdf.TermID{st, t}) })
+		}
+	}
+	return out
+}
+
+// nestsClosure reports whether a path contains a closure.
+func nestsClosure(p pathPlan) bool {
+	switch pp := p.(type) {
+	case pClosure:
+		return true
+	case pInv:
+		return nestsClosure(pp.p)
+	case pSeq:
+		return nestsClosure(pp.l) || nestsClosure(pp.r)
+	case pAlt:
+		return nestsClosure(pp.l) || nestsClosure(pp.r)
+	default:
+		return false
+	}
+}
+
+// subjects lists the view's distinct subjects in index order.
+func (e *exec) subjects() []rdf.TermID {
+	var out []rdf.TermID
+	seen := map[rdf.TermID]struct{}{}
+	e.r.ForEachIDs(rdf.PatternIDs{}, func(s, _, _ rdf.TermID) bool {
+		if _, dup := seen[s]; !dup {
+			seen[s] = struct{}{}
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
+// closureWalk is the one breadth-first search behind p+, p* and p?. succ
+// lists a node's one-step successors under the inner path. The visited set
+// and frontier buffers are reused across every start: visited maps a node
+// to the walk that last reached it, so a new start clears nothing.
+type closureWalk struct {
+	min, max       int
+	succ           func(rdf.TermID) []rdf.TermID
+	visited        map[rdf.TermID]uint32
+	walk           uint32
+	frontier, next []rdf.TermID
+}
+
+func newClosureWalk(pc pClosure, succ func(rdf.TermID) []rdf.TermID) *closureWalk {
+	return &closureWalk{min: pc.min, max: pc.max, succ: succ, visited: map[rdf.TermID]uint32{}}
+}
+
+// reach calls emit once for every node whose shortest distance from start
+// lies in [min, max], in discovery order. start itself counts only at
+// distance zero: a cycle back to it does not make it a p+ match.
+func (w *closureWalk) reach(start rdf.TermID, emit func(rdf.TermID)) {
+	w.walk++
+	w.visited[start] = w.walk
+	if w.min == 0 {
+		emit(start)
+	}
+	w.frontier = append(w.frontier[:0], start)
+	for depth := 1; len(w.frontier) > 0 && (w.max < 0 || depth <= w.max); depth++ {
+		w.next = w.next[:0]
+		for _, n := range w.frontier {
+			for _, t := range w.succ(n) {
+				if w.visited[t] == w.walk {
+					continue
+				}
+				w.visited[t] = w.walk
+				w.next = append(w.next, t)
+				if depth >= w.min {
+					emit(t)
+				}
+			}
+		}
+		w.frontier, w.next = w.next, w.frontier
 	}
 }
 
