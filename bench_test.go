@@ -147,6 +147,36 @@ ENRICH REPLACEVARIABLE(c1, elem_name, oreAssemblage)`,
 	}
 }
 
+// BenchmarkWhereEnrichment measures the JoinManager side of the WHERE
+// enrichments over 2 000 landfills (~20k base rows carrying a few dozen
+// distinct element names): REPLACECONSTANT and REPLACEVARIABLE filters,
+// and a REPLACECONSTANT whose ORDER BY / LIMIT is deferred to the final
+// step over the join buffer.
+func BenchmarkWhereEnrichment(b *testing.B) {
+	enr := benchFixture(b, 2000, 0)
+	for _, c := range []struct{ name, query string }{
+		{"ReplaceConstant", `SELECT landfill_name, amount FROM elem_contained
+WHERE ${elem_name = HazardousWaste:c1}
+ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)`},
+		{"ReplaceVariable", `SELECT landfill_name FROM elem_contained
+WHERE ${elem_name = 'element_000':c1}
+ENRICH REPLACEVARIABLE(c1, elem_name, oreAssemblage)`},
+		{"DeferredOrderLimit", `SELECT landfill_name, elem_name, amount FROM elem_contained
+WHERE ${elem_name = HazardousWaste:c1}
+ORDER BY amount DESC LIMIT 20
+ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := enr.Query("alice", c.query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- E5: enrichment vs baselines ---
 
 func BenchmarkEnrichVsBaseline(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -505,12 +506,19 @@ func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hid
 		}
 		cond = rewritten
 	}
+	// The rewritten condition reads only hidden columns and __v, so those
+	// columns' slots key existsFilter's memo. REPLACEVARIABLE's attribute
+	// is among them: the condition must mention it.
+	var keySlots []int
 	for _, cr := range refs {
 		alias, ok := hidden.alias[cr.SQL()]
 		if !ok {
 			continue // already rewritten to __v
 		}
 		cond, _ = sesql.ReplaceSubtree(cond, cr, &sqlparser.ColRef{Name: alias})
+		if i := work.colIndex(alias); !slices.Contains(keySlots, i) {
+			keySlots = append(keySlots, i)
+		}
 	}
 
 	scopeCols := make([]sqlexec.ScopeCol, len(work.headers)+1)
@@ -525,15 +533,7 @@ func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hid
 		if err != nil {
 			return err
 		}
-		return existsFilter(work, scopeCols, cond, func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error) {
-			for _, v := range values {
-				ok, err := try(v)
-				if err != nil || ok {
-					return ok, err
-				}
-			}
-			return false, nil
-		}, st)
+		return existsFilter(work, scopeCols, cond, keySlots, func([]sqlval.Value) []sqlval.Value { return values }, st)
 
 	case sesql.ReplaceVariable:
 		pairs, err := e.propertyPairs(en, user, view, st)
@@ -544,25 +544,24 @@ func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hid
 		if attrIdx < 0 {
 			return fmt.Errorf("core: internal: hidden column for %s missing", en.Attr)
 		}
-		return existsFilter(work, scopeCols, cond, func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error) {
-			for _, v := range pairs[valueKey(row[attrIdx])] {
-				ok, err := try(v)
-				if err != nil || ok {
-					return ok, err
-				}
-			}
-			return false, nil
+		return existsFilter(work, scopeCols, cond, keySlots, func(row []sqlval.Value) []sqlval.Value {
+			return pairs[valueKey(row[attrIdx])]
 		}, st)
 	}
 	return nil
 }
 
-// existsFilter keeps rows for which the candidate generator finds a value
-// satisfying the rewritten condition. The condition compiles once to a
-// slot-resolved predicate; per candidate value the cost is one evaluation
-// over the scratch row, not an AST walk with per-row name resolution.
-func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Expr,
-	gen func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error), st *Stats) error {
+// existsFilter keeps, in order, the rows for which some candidate value
+// makes the rewritten condition TRUE. The condition compiles once to a
+// slot-resolved predicate. It reads only the columns at keySlots plus the
+// candidate, candidates reads only those columns, and every scalar
+// function is deterministic, so the outcome is memoised per distinct
+// tuple of their values: one predicate run per distinct tuple and
+// candidate, one map probe per later row. Tuples are keyed on exact
+// identity (sqlval.AppendIdentityKey), so values that compare equal but
+// render differently, like -0.0 and 0.0, never share an outcome.
+func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Expr, keySlots []int,
+	candidates func(row []sqlval.Value) []sqlval.Value, st *Stats) error {
 	t0 := time.Now()
 	defer func() { st.Join += time.Since(t0) }()
 
@@ -571,22 +570,28 @@ func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Ex
 		return fmt.Errorf("core: WHERE enrichment condition: %w", err)
 	}
 	scratch := make([]sqlval.Value, len(work.headers)+1)
-	var kept [][]sqlval.Value
+	memo := make(map[string]bool)
+	var key []byte
+	kept := work.rows[:0]
 	for _, row := range work.rows {
-		copy(scratch, row)
-		try := func(v sqlval.Value) (bool, error) {
-			scratch[len(work.headers)] = v
-			tri, err := pred.EvalBool(scratch)
-			if err != nil {
-				// Type mismatches against heterogeneous ontology values
-				// behave like SQL UNKNOWN rather than aborting the query.
-				return false, nil
-			}
-			return tri == sqlval.True, nil
+		key = key[:0]
+		for _, s := range keySlots {
+			key = sqlval.AppendIdentityKey(key, row[s])
 		}
-		ok, err := gen(row, try)
-		if err != nil {
-			return err
+		ok, seen := memo[string(key)]
+		if !seen {
+			copy(scratch, row)
+			for _, v := range candidates(row) {
+				scratch[len(work.headers)] = v
+				// An evaluation error (a type mismatch against a
+				// heterogeneous ontology value) counts as UNKNOWN for this
+				// candidate rather than aborting the query.
+				if tri, err := pred.EvalBool(scratch); err == nil && tri == sqlval.True {
+					ok = true
+					break
+				}
+			}
+			memo[string(key)] = ok
 		}
 		if ok {
 			kept = append(kept, row)

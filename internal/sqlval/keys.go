@@ -1,6 +1,10 @@
 package sqlval
 
-import "strconv"
+import (
+	"encoding/binary"
+	"math"
+	"strconv"
+)
 
 // keys.go — allocation-free comparable encodings of Values. The executor
 // uses these everywhere a value becomes a hash-map key (DISTINCT rows,
@@ -67,4 +71,30 @@ func AppendJoinKey(dst []byte, v Value) []byte {
 	default:
 		return AppendKey(dst, v)
 	}
+}
+
+// AppendIdentityKey appends an encoding under which two Values are equal
+// exactly when they are the same value bit for bit: the type tag plus the
+// payload, floats by math.Float64bits. Unlike AppendKey it tells -0.0
+// from +0.0 and gives NaN a key that matches itself, so a memo keyed on
+// it is exact for any deterministic function of the value, including one
+// that renders it. Payloads are fixed-width or length-prefixed, so the
+// keys of a tuple concatenate injectively.
+func AppendIdentityKey(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.typ))
+	switch v.typ {
+	case TypeInt:
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.i))
+	case TypeFloat:
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+	case TypeString:
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+		return append(dst, v.s...)
+	case TypeBool:
+		if v.b {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	}
+	return dst
 }

@@ -82,3 +82,37 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 		t.Error("AppendKey should write into the provided buffer")
 	}
 }
+
+// AppendIdentityKey separates exactly what == folds or loses: -0.0 from
+// +0.0, and a NaN from nothing but itself. Tuples stay injective.
+func TestAppendIdentityKey(t *testing.T) {
+	key := func(vs ...Value) string {
+		var k []byte
+		for _, v := range vs {
+			k = AppendIdentityKey(k, v)
+		}
+		return string(k)
+	}
+	negZero := NewFloat(math.Copysign(0, -1))
+	if key(negZero) == key(NewFloat(0)) {
+		t.Error("-0.0 and +0.0 must not share a key")
+	}
+	if nan := NewFloat(math.NaN()); key(nan) != key(nan) {
+		t.Error("a NaN must match itself")
+	}
+	distinct := [][]Value{
+		{Null}, {NewInt(0)}, {NewFloat(0)}, {negZero},
+		{NewBool(false)}, {NewBool(true)}, {NewInt(2)}, {NewFloat(2)},
+		{NewString("ab"), NewString("c")}, {NewString("a"), NewString("bc")},
+		{NewString(""), NewString("")}, {NewString("")},
+		{NewInt(12), NewInt(3)}, {NewInt(1), NewInt(23)},
+	}
+	seen := map[string]int{}
+	for i, tup := range distinct {
+		k := key(tup...)
+		if j, dup := seen[k]; dup {
+			t.Errorf("tuples %v and %v share key %q", distinct[j], tup, k)
+		}
+		seen[k] = i
+	}
+}
