@@ -233,3 +233,97 @@ func TestWhereFixtureSignedZeros(t *testing.T) {
 		t.Fatalf("reading holds %d negative and %d positive zeros, want 3 and 2", neg, pos)
 	}
 }
+
+// TestDeferredOrderLimit pins the final step a WHERE enrichment defers:
+// ORDER BY, LIMIT and OFFSET apply to the filtered rows exactly as the
+// plain SQL with the candidates written out applies them, ties in
+// arrival order.
+func TestDeferredOrderLimit(t *testing.T) {
+	e := whereFixture(t)
+	const (
+		where   = `WHERE ${elem_name = HazardousWaste:c1}`
+		enrich  = ` ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)`
+		inList  = `WHERE elem_name IN ('Mercury', 'Lead', 'Asbestos')`
+		project = `SELECT landfill_name, elem_name FROM elem_contained `
+	)
+	checkAgainstPlainSQL(t, e, []enrichedVsPlain{
+		{
+			name: "alias-qualified key",
+			sesql: `SELECT e.landfill_name, e.elem_name FROM elem_contained e
+WHERE ${e.elem_name = HazardousWaste:c1} ORDER BY e.landfill_name LIMIT 6` + enrich,
+			sql: `SELECT e.landfill_name, e.elem_name FROM elem_contained e
+WHERE e.elem_name IN ('Mercury', 'Lead', 'Asbestos') ORDER BY e.landfill_name LIMIT 6`,
+			ordered: true,
+		},
+		{
+			name:    "key not projected",
+			sesql:   `SELECT landfill_name FROM elem_contained ` + where + ` ORDER BY elem_name` + enrich,
+			sql:     `SELECT landfill_name FROM elem_contained ` + inList + ` ORDER BY elem_name`,
+			ordered: true,
+			cols:    "landfill_name",
+		},
+		{
+			name:    "output-alias key",
+			sesql:   `SELECT landfill_name AS lf, elem_name FROM elem_contained ` + where + ` ORDER BY lf DESC, elem_name` + enrich,
+			sql:     `SELECT landfill_name AS lf, elem_name FROM elem_contained ` + inList + ` ORDER BY lf DESC, elem_name`,
+			ordered: true,
+			cols:    "lf,elem_name",
+		},
+		{
+			name:    "expression key",
+			sesql:   project + where + ` ORDER BY LENGTH(elem_name) DESC, landfill_name` + enrich,
+			sql:     project + inList + ` ORDER BY LENGTH(elem_name) DESC, landfill_name`,
+			ordered: true,
+		},
+		{
+			name:    "expression key over a column not projected",
+			sesql:   `SELECT landfill_name FROM elem_contained ` + where + ` ORDER BY UPPER(elem_name) DESC LIMIT 5` + enrich,
+			sql:     `SELECT landfill_name FROM elem_contained ` + inList + ` ORDER BY UPPER(elem_name) DESC LIMIT 5`,
+			ordered: true,
+		},
+		{
+			name:    "DESC with ties under LIMIT",
+			sesql:   project + where + ` ORDER BY landfill_name DESC LIMIT 4` + enrich,
+			sql:     project + inList + ` ORDER BY landfill_name DESC LIMIT 4`,
+			ordered: true,
+		},
+		{
+			name:    "OFFSET inside the rows",
+			sesql:   project + where + ` ORDER BY landfill_name LIMIT 3 OFFSET 2` + enrich,
+			sql:     project + inList + ` ORDER BY landfill_name LIMIT 3 OFFSET 2`,
+			ordered: true,
+		},
+		{
+			name:    "OFFSET past the end",
+			sesql:   project + where + ` ORDER BY landfill_name LIMIT 5 OFFSET 100` + enrich,
+			sql:     project + inList + ` ORDER BY landfill_name LIMIT 5 OFFSET 100`,
+			ordered: true,
+			cols:    "landfill_name,elem_name",
+		},
+		{
+			name:    "LIMIT 0",
+			sesql:   project + where + ` ORDER BY landfill_name LIMIT 0` + enrich,
+			sql:     project + inList + ` ORDER BY landfill_name LIMIT 0`,
+			ordered: true,
+			cols:    "landfill_name,elem_name",
+		},
+		{
+			name:    "LIMIT and OFFSET without ORDER BY",
+			sesql:   project + where + ` LIMIT 3 OFFSET 1` + enrich,
+			sql:     project + inList + ` LIMIT 3 OFFSET 1`,
+			ordered: true,
+		},
+		{
+			// The key names the schema enrichment's own column; the plain
+			// side reads the same facts from the danger table.
+			name: "schema enrichment after the WHERE enrichment",
+			sesql: `SELECT elem_name, landfill_name FROM elem_contained ` + where + `
+ORDER BY dangerLevel DESC, landfill_name LIMIT 5` + enrich + `
+SCHEMAEXTENSION(elem_name, dangerLevel)`,
+			sql: `SELECT elem_name, landfill_name, level FROM elem_contained LEFT JOIN danger ON elem = elem_name
+` + inList + ` ORDER BY level DESC, landfill_name LIMIT 5`,
+			ordered: true,
+			cols:    "elem_name,landfill_name,dangerLevel",
+		},
+	})
+}
