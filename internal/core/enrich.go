@@ -13,7 +13,6 @@ import (
 	"crosse/internal/rdf"
 	"crosse/internal/sesql"
 	"crosse/internal/sparql"
-	"crosse/internal/sqldb"
 	"crosse/internal/sqlexec"
 	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
@@ -129,7 +128,7 @@ type Stats struct {
 	BaseSQL  time.Duration // relational query on the main platform
 	SPARQL   time.Duration // ontology queries on the user's KB
 	Join     time.Duration // JoinManager: combine partial results
-	FinalSQL time.Duration // final query on the support database
+	FinalSQL time.Duration // final step: deferred ORDER BY/LIMIT/OFFSET
 
 	BaseRows  int
 	FinalRows int
@@ -243,20 +242,14 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		return res, st, err
 	}
 
-	if len(whereEnr) > 0 {
-		if q.Select.Distinct || len(q.Select.GroupBy) > 0 || q.Select.Having != nil {
-			return nil, st, fmt.Errorf("core: WHERE enrichment requires a plain SELECT (no DISTINCT/GROUP BY)")
-		}
+	if len(whereEnr) > 0 && (q.Select.Distinct || len(q.Select.GroupBy) > 0 || q.Select.Having != nil) {
+		return nil, st, fmt.Errorf("core: WHERE enrichment requires a plain SELECT (no DISTINCT/GROUP BY)")
 	}
 
 	// --- Build and run the base SQL query on the main platform ---
 	base, hidden, err := e.buildBaseQuery(q, whereEnr)
 	if err != nil {
 		return nil, st, err
-	}
-	deferOrder := len(whereEnr) > 0
-	if deferOrder {
-		base.OrderBy, base.Limit, base.Offset = nil, nil, nil
 	}
 	st.BaseSQLText = sqlparser.SelectSQL(base)
 
@@ -280,15 +273,14 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	if err != nil {
 		return nil, st, fmt.Errorf("core: base query: %w", err)
 	}
-	skipped := info.SkippedSources
-	st.SkippedSources = skipped
+	st.SkippedSources = info.SkippedSources
 	st.addParallelFallback("base-sql", info.ParallelFallback)
 	st.BaseRows = len(work.rows)
-	visible := len(work.headers) - len(hidden.order)
+	visible := len(work.headers) - len(hidden.alias)
 
 	// --- WHERE enrichments (JoinManager filtering) ---
-	for _, en := range whereEnr {
-		if err := e.applyWhereEnrichment(q, en, hidden, work, view, user, st); err != nil {
+	for i, en := range whereEnr {
+		if err := e.applyWhereEnrichment(en, hidden.where[i], work, view, user, st); err != nil {
 			return nil, st, err
 		}
 	}
@@ -298,60 +290,77 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		if err := e.applySchemaEnrichment(q, en, work, view, user, visible, st); err != nil {
 			return nil, st, err
 		}
-		visible = len(work.headers) - len(hidden.order) // new columns are visible
+		visible = len(work.headers) - len(hidden.alias) // new columns are visible
 	}
 
-	// Fast path: when nothing was deferred to the final query (no ORDER
-	// BY / LIMIT / OFFSET left to re-apply), Fig. 6's final SQL is a pure
-	// projection of the visible columns — answer it straight from the
-	// JoinManager's buffer instead of materialising a temporary support
-	// database and re-scanning it. FinalSQLText stays empty to record that
-	// no final query ran.
-	if !deferOrder || (len(q.Select.OrderBy) == 0 && q.Select.Limit == nil && q.Select.Offset == nil) {
+	// --- Final step (Fig. 6): the ORDER BY / LIMIT / OFFSET a WHERE
+	// enrichment deferred, answered from the JoinManager's buffer ---
+	rows := work.rows
+	if len(whereEnr) > 0 && (len(q.Select.OrderBy) > 0 || q.Select.Limit != nil || q.Select.Offset != nil) {
 		t0 = time.Now()
-		visibleN := len(work.headers) - len(hidden.order)
-		res := &sqlexec.Result{Columns: append([]string(nil), work.headers[:visibleN]...)}
-		if visibleN == len(work.headers) {
-			res.Rows = work.rows
-		} else {
-			rows := make([][]sqlval.Value, len(work.rows))
-			for i, r := range work.rows {
-				rows[i] = r[:visibleN]
-			}
-			res.Rows = rows
+		st.FinalSQLText = finalStepSQL(q.Select)
+		rows, err = sortBuffer(q.Select, hidden, work, visible)
+		st.FinalSQL = time.Since(t0)
+		if err != nil {
+			return nil, st, fmt.Errorf("core: final step: %w", err)
 		}
-		st.Join += time.Since(t0)
-		st.FinalRows = len(res.Rows)
-		res.SkippedSources = skipped
-		return res, st, nil
 	}
 
-	// --- Materialise into the temporary support database, then run the
-	// final SQL query (Fig. 6's last step) ---
+	// Project away the hidden columns.
 	t0 = time.Now()
-	support := engine.Open()
-	tempCols, err := materialize(support, "sesql_result", work)
-	if err != nil {
-		return nil, st, err
+	res := &sqlexec.Result{Columns: append([]string(nil), work.headers[:visible]...), SkippedSources: st.SkippedSources}
+	if visible == len(work.headers) {
+		res.Rows = rows
+	} else {
+		res.Rows = make([][]sqlval.Value, len(rows))
+		for i, r := range rows {
+			res.Rows[i] = r[:visible]
+		}
 	}
 	st.Join += time.Since(t0)
+	st.FinalRows = len(res.Rows)
+	return res, st, nil
+}
 
-	finalSQL := buildFinalSQL(tempCols, work.headers, len(work.headers)-len(hidden.order), q.Select, deferOrder)
-	st.FinalSQLText = finalSQL
-
-	t0 = time.Now()
-	finalRes, err := support.Query(finalSQL)
-	st.FinalSQL = time.Since(t0)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: final query: %w", err)
+// sortBuffer orders and limits the buffered rows as the query's ORDER BY,
+// LIMIT and OFFSET ask. Like sqlexec.Compile, each key resolves first
+// against the visible output headers, which are final once the schema
+// enrichments have run; the hidden column the base query projected for
+// the key serves where that fails.
+func sortBuffer(sel *sqlparser.Select, hidden *hiddenCols, work *workset, visible int) ([][]sqlval.Value, error) {
+	out := scope(work.headers[:visible])
+	keys := make([]sqlexec.SortKey, len(sel.OrderBy))
+	for i, ob := range sel.OrderBy {
+		keys[i] = sqlexec.SortKey{Slot: -1, Desc: ob.Desc}
+		x, err := sqlexec.CompileExpr(out, ob.Expr)
+		if err == nil {
+			keys[i].Expr = x
+		}
+		if alias := hidden.orderBy[i]; alias != "" {
+			keys[i].Slot = work.colIndex(alias)
+		}
+		if keys[i].Expr == nil && keys[i].Slot < 0 {
+			return nil, fmt.Errorf("ORDER BY: %w", err)
+		}
 	}
-	// Restore the exact output headers (quoted aliases survive, but make
-	// doubly sure derived names match the visible headers).
-	finalRes.Columns = append([]string(nil), work.headers[:len(work.headers)-len(hidden.order)]...)
-	st.FinalRows = len(finalRes.Rows)
-	finalRes.SkippedSources = skipped
-	st.addParallelFallback("final-sql", finalRes.ParallelFallback)
-	return finalRes, st, nil
+	return sqlexec.SortRows(work.rows, keys, sel.Limit, sel.Offset)
+}
+
+// finalStepSQL renders the deferred final step for Stats.FinalSQLText,
+// e.g. "ORDER BY landfill_name DESC LIMIT 2".
+func finalStepSQL(sel *sqlparser.Select) string {
+	tail := &sqlparser.Select{OrderBy: sel.OrderBy, Limit: sel.Limit, Offset: sel.Offset}
+	return strings.TrimSpace(strings.TrimPrefix(sqlparser.SelectSQL(tail), "SELECT"))
+}
+
+// scope lays out headers as a column scope for compiling expressions
+// over buffered rows.
+func scope(headers []string) []sqlexec.ScopeCol {
+	cols := make([]sqlexec.ScopeCol, len(headers))
+	for i, h := range headers {
+		cols[i] = sqlexec.ScopeCol{Name: h}
+	}
+	return cols
 }
 
 // workset is the JoinManager's in-flight partial result.
@@ -369,24 +378,54 @@ func (w *workset) colIndex(name string) int {
 	return -1
 }
 
-// hiddenCols tracks the extra projections added to the base query so that
-// tagged WHERE conditions can be re-evaluated over materialised rows.
+// hiddenCols tracks the extra projections added to the base query: the
+// columns tagged WHERE conditions read, so those conditions can be
+// re-evaluated over buffered rows, and the deferred ORDER BY keys the
+// output headers may not supply.
 type hiddenCols struct {
-	alias map[string]string // ColRef.SQL() → hidden column alias
-	order []string          // aliases in order of addition
+	alias map[string]string // expression SQL → hidden column alias
+	where []whereCond       // per WHERE enrichment, in order
+	// orderBy holds, per deferred ORDER BY key, the alias of the hidden
+	// column carrying its value; "" when the key can only resolve
+	// against the output headers.
+	orderBy []string
+}
+
+// whereCond is a WHERE enrichment's tagged condition as the JoinManager
+// re-evaluates it over buffered rows.
+type whereCond struct {
+	cond  sqlparser.Expr // reads the hidden columns and the pseudo-column __v
+	reads []string       // the hidden aliases cond reads
+	attr  string         // ReplaceVariable: the attribute's hidden alias
+}
+
+// project appends ex to sel as a hidden column, unless an equal
+// expression already is one, and returns its alias.
+func (h *hiddenCols) project(sel *sqlparser.Select, ex sqlparser.Expr) string {
+	key := ex.SQL()
+	if alias, ok := h.alias[key]; ok {
+		return alias
+	}
+	alias := fmt.Sprintf("__h%d", len(h.alias)+1)
+	h.alias[key] = alias
+	sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: ex, Alias: alias})
+	return alias
 }
 
 // buildBaseQuery clones the parsed SELECT, neutralises tagged conditions
 // targeted by WHERE enrichments (they become TRUE — the enrichment applies
 // them later against the ontology), and appends hidden projections for the
-// columns those conditions reference.
+// columns those conditions reference. With a WHERE enrichment, ORDER BY,
+// LIMIT and OFFSET must wait until the enrichment has filtered, so they
+// leave the base query, and each ORDER BY key the base query can evaluate
+// but the output may not name becomes a hidden projection too.
 func (e *Enricher) buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (*sqlparser.Select, *hiddenCols, error) {
 	sel := *q.Select // shallow copy; Items/Where replaced below
 	sel.Items = append([]sqlparser.SelectItem(nil), q.Select.Items...)
 
 	hidden := &hiddenCols{alias: map[string]string{}}
 	trueLit := &sqlparser.Literal{Val: sqlval.NewBool(true)}
-
+	pseudo := &sqlparser.ColRef{Name: "__v"}
 	for _, en := range whereEnr {
 		tag := q.Conds[en.CondID]
 		where, n := sesql.ReplaceSubtree(sel.Where, tag.Expr, trueLit)
@@ -395,34 +434,86 @@ func (e *Enricher) buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (
 		}
 		sel.Where = where
 
-		var refs []*sqlparser.ColRef
-		collectColRefs(tag.Expr, &refs)
-		if en.Kind == sesql.ReplaceVariable {
-			attr := parseAttrRef(en.Attr)
-			refs = append(refs, attr)
+		// The constant (ReplaceConstant: a non-relational name such as
+		// HazardousWaste, never a projection) or the attribute
+		// (ReplaceVariable) becomes the pseudo-column __v; every other
+		// column is read from a hidden projection.
+		cond, n := sesql.ReplaceSubtree(tag.Expr, parseAttrRef(en.Attr), pseudo)
+		if n == 0 {
+			return nil, nil, fmt.Errorf("core: %s does not appear in condition %s", en.Attr, en.CondID)
 		}
-		// For ReplaceConstant the "attribute" is the non-relational
-		// constant (e.g. HazardousWaste) — it has no database column, so
-		// it must not become a hidden projection.
-		constSQL := ""
-		if en.Kind == sesql.ReplaceConstant {
-			constSQL = parseAttrRef(en.Attr).SQL()
+		var wc whereCond
+		var refs []*sqlparser.ColRef
+		sesql.WalkExpr(cond, func(x sqlparser.Expr) {
+			if cr, ok := x.(*sqlparser.ColRef); ok {
+				refs = append(refs, cr)
+			}
+		})
+		if en.Kind == sesql.ReplaceVariable {
+			refs = append(refs, parseAttrRef(en.Attr))
 		}
 		for _, cr := range refs {
-			key := cr.SQL()
-			if key == constSQL {
+			if cr == pseudo {
 				continue
 			}
-			if _, ok := hidden.alias[key]; ok {
-				continue
+			alias := hidden.project(&sel, cr)
+			cond, _ = sesql.ReplaceSubtree(cond, cr, &sqlparser.ColRef{Name: alias})
+			if !slices.Contains(wc.reads, alias) {
+				wc.reads = append(wc.reads, alias)
 			}
-			alias := fmt.Sprintf("__h%d", len(hidden.order)+1)
-			hidden.alias[key] = alias
-			hidden.order = append(hidden.order, alias)
-			sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: cr, Alias: alias})
+		}
+		wc.cond = cond
+		if en.Kind == sesql.ReplaceVariable {
+			wc.attr = hidden.alias[parseAttrRef(en.Attr).SQL()]
+		}
+		hidden.where = append(hidden.where, wc)
+	}
+
+	if len(whereEnr) > 0 {
+		sel.OrderBy, sel.Limit, sel.Offset = nil, nil, nil
+		for _, ob := range q.Select.OrderBy {
+			alias := ""
+			if !namesOneOutput(q, ob.Expr) && sqlexec.ResolvesInFrom(e.DB.Catalog(), q.Select, ob.Expr) {
+				alias = hidden.project(&sel, ob.Expr)
+			}
+			hidden.orderBy = append(hidden.orderBy, alias)
 		}
 	}
 	return &sel, hidden, nil
+}
+
+// namesOneOutput reports whether an ORDER BY key is an unqualified name
+// that exactly one SELECT item's header carries (its alias, column name or
+// rendered expression, as sqlexec names headers). The final headers then
+// still carry it, and the key needs no hidden column. A star, or a schema
+// replacement that renames a header, defeats the check.
+func namesOneOutput(q *sesql.Query, key sqlparser.Expr) bool {
+	cr, ok := key.(*sqlparser.ColRef)
+	if !ok || cr.Qualifier != "" {
+		return false
+	}
+	for _, en := range q.Enrichments {
+		if en.Kind == sesql.SchemaReplacement || en.Kind == sesql.BoolSchemaReplacement {
+			return false
+		}
+	}
+	n := 0
+	for _, it := range q.Select.Items {
+		if it.Star {
+			return false
+		}
+		name := it.Alias
+		if name == "" {
+			name = it.Expr.SQL()
+			if c, ok := it.Expr.(*sqlparser.ColRef); ok {
+				name = c.Name
+			}
+		}
+		if strings.EqualFold(name, cr.Name) {
+			n++
+		}
+	}
+	return n == 1
 }
 
 // parseAttrRef parses an enrichment attr argument ("elem_name" or
@@ -434,44 +525,6 @@ func parseAttrRef(attr string) *sqlparser.ColRef {
 	return &sqlparser.ColRef{Name: attr}
 }
 
-func collectColRefs(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
-	switch ex := e.(type) {
-	case *sqlparser.ColRef:
-		*out = append(*out, ex)
-	case *sqlparser.BinExpr:
-		collectColRefs(ex.L, out)
-		collectColRefs(ex.R, out)
-	case *sqlparser.UnaryExpr:
-		collectColRefs(ex.E, out)
-	case *sqlparser.IsNull:
-		collectColRefs(ex.E, out)
-	case *sqlparser.InList:
-		collectColRefs(ex.E, out)
-		for _, le := range ex.List {
-			collectColRefs(le, out)
-		}
-	case *sqlparser.Between:
-		collectColRefs(ex.E, out)
-		collectColRefs(ex.Lo, out)
-		collectColRefs(ex.Hi, out)
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			collectColRefs(a, out)
-		}
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			collectColRefs(ex.Operand, out)
-		}
-		for _, w := range ex.Whens {
-			collectColRefs(w.Cond, out)
-			collectColRefs(w.Then, out)
-		}
-		if ex.Else != nil {
-			collectColRefs(ex.Else, out)
-		}
-	}
-}
-
 // --- WHERE enrichments ---
 
 // applyWhereEnrichment re-evaluates the tagged condition over every base
@@ -479,76 +532,30 @@ func collectColRefs(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
 // (ReplaceVariable) replaced by the values the ontology yields; a row
 // survives when some replacement satisfies the condition (the paper's
 // "treat the list as if it was a relational attribute").
-func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hidden *hiddenCols, work *workset, view rdf.Graph, user string, st *Stats) error {
-	tag := q.Conds[en.CondID]
-
-	// Rewrite the condition: every referenced column → its hidden alias;
-	// for ReplaceConstant the constant → pseudo-variable __v; for
-	// ReplaceVariable the attribute → __v.
-	cond := tag.Expr
-	var refs []*sqlparser.ColRef
-	collectColRefs(tag.Expr, &refs)
-	pseudo := &sqlparser.ColRef{Name: "__v"}
-
-	switch en.Kind {
-	case sesql.ReplaceConstant:
-		constRef := parseAttrRef(en.Attr)
-		rewritten, n := sesql.ReplaceSubtree(cond, constRef, pseudo)
-		if n == 0 {
-			return fmt.Errorf("core: constant %s does not appear in condition %s", en.Attr, en.CondID)
-		}
-		cond = rewritten
-	case sesql.ReplaceVariable:
-		attrRef := parseAttrRef(en.Attr)
-		rewritten, n := sesql.ReplaceSubtree(cond, attrRef, pseudo)
-		if n == 0 {
-			return fmt.Errorf("core: attribute %s does not appear in condition %s", en.Attr, en.CondID)
-		}
-		cond = rewritten
-	}
-	// The rewritten condition reads only hidden columns and __v, so those
-	// columns' slots key existsFilter's memo. REPLACEVARIABLE's attribute
-	// is among them: the condition must mention it.
-	var keySlots []int
-	for _, cr := range refs {
-		alias, ok := hidden.alias[cr.SQL()]
-		if !ok {
-			continue // already rewritten to __v
-		}
-		cond, _ = sesql.ReplaceSubtree(cond, cr, &sqlparser.ColRef{Name: alias})
-		if i := work.colIndex(alias); !slices.Contains(keySlots, i) {
-			keySlots = append(keySlots, i)
-		}
+func (e *Enricher) applyWhereEnrichment(en sesql.Enrichment, wc whereCond, work *workset, view rdf.Graph, user string, st *Stats) error {
+	scopeCols := scope(append(slices.Clip(work.headers), "__v"))
+	// The condition reads only these columns and __v, and REPLACEVARIABLE's
+	// candidates only its attribute, which is among them.
+	keySlots := make([]int, len(wc.reads))
+	for i, alias := range wc.reads {
+		keySlots[i] = work.colIndex(alias)
 	}
 
-	scopeCols := make([]sqlexec.ScopeCol, len(work.headers)+1)
-	for i, h := range work.headers {
-		scopeCols[i] = sqlexec.ScopeCol{Name: h}
-	}
-	scopeCols[len(work.headers)] = sqlexec.ScopeCol{Name: "__v"}
-
-	switch en.Kind {
-	case sesql.ReplaceConstant:
-		values, err := e.replacementValues(en, user, view, st)
-		if err != nil {
-			return err
-		}
-		return existsFilter(work, scopeCols, cond, keySlots, func([]sqlval.Value) []sqlval.Value { return values }, st)
-
-	case sesql.ReplaceVariable:
+	if en.Kind == sesql.ReplaceVariable {
 		pairs, err := e.propertyPairs(en, user, view, st)
 		if err != nil {
 			return err
 		}
-		attrIdx := work.colIndex(hidden.alias[parseAttrRef(en.Attr).SQL()])
-		if attrIdx < 0 {
-			return fmt.Errorf("core: internal: hidden column for %s missing", en.Attr)
-		}
-		return existsFilter(work, scopeCols, cond, keySlots, func(row []sqlval.Value) []sqlval.Value {
+		attrIdx := work.colIndex(wc.attr)
+		return existsFilter(work, scopeCols, wc.cond, keySlots, func(row []sqlval.Value) []sqlval.Value {
 			return pairs[valueKey(row[attrIdx])]
 		}, st)
 	}
-	return nil
+	values, err := e.replacementValues(en, user, view, st)
+	if err != nil {
+		return err
+	}
+	return existsFilter(work, scopeCols, wc.cond, keySlots, func([]sqlval.Value) []sqlval.Value { return values }, st)
 }
 
 // existsFilter keeps, in order, the rows for which some candidate value
@@ -612,73 +619,66 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 	table := attrTable(q.Select, en.Attr)
 	column := parseAttrRef(en.Attr).Name
 
+	// newValues gives the values a column value joins with: the property's
+	// objects (one output row each; NULL when there are none), or whether
+	// it is a member of the concept.
+	var newValues func(key string) []sqlval.Value
 	switch en.Kind {
 	case sesql.SchemaExtension, sesql.SchemaReplacement:
 		pairs, err := e.propertyPairs(en, user, view, st)
 		if err != nil {
 			return err
 		}
-		t0 := time.Now()
-		newCol := uniqueName(shortName(en.Property), work.headers)
-		replace := en.Kind == sesql.SchemaReplacement
-		rows := make([][]sqlval.Value, 0, len(work.rows))
-		arena := extendArena(work.rows, replace)
-		// Column values repeat across rows; memoise the value→term→key
-		// mapping so the per-row cost is one comparable-map probe instead
-		// of an IRI string build.
-		memo := make(map[sqlval.Value][]sqlval.Value)
-		for _, row := range work.rows {
-			objs, ok := memo[row[attrIdx]]
-			if !ok {
-				objs = pairs[valueKeyMapped(e.Mapping, table, column, row[attrIdx])]
-				memo[row[attrIdx]] = objs
+		null := []sqlval.Value{sqlval.Null}
+		newValues = func(key string) []sqlval.Value {
+			if objs := pairs[key]; len(objs) > 0 {
+				return objs
 			}
-			if len(objs) == 0 {
-				rows = append(rows, extendRow(arena, row, attrIdx, sqlval.Null, replace, visible))
-				continue
-			}
-			for _, o := range objs {
-				rows = append(rows, extendRow(arena, row, attrIdx, o, replace, visible))
-			}
+			return null
 		}
-		work.rows = rows
-		if replace {
-			work.headers[attrIdx] = newCol
-		} else {
-			work.headers = insertHeader(work.headers, visible, newCol)
-		}
-		st.Join += time.Since(t0)
-		return nil
-
 	case sesql.BoolSchemaExtension, sesql.BoolSchemaReplacement:
 		members, err := e.conceptMembers(en, user, view, st)
 		if err != nil {
 			return err
 		}
-		t0 := time.Now()
-		newCol := uniqueName(shortName(en.Property), work.headers)
-		replace := en.Kind == sesql.BoolSchemaReplacement
-		rows := make([][]sqlval.Value, 0, len(work.rows))
-		arena := extendArena(work.rows, replace)
-		memo := make(map[sqlval.Value]bool)
-		for _, row := range work.rows {
-			isMember, ok := memo[row[attrIdx]]
-			if !ok {
-				_, isMember = members[valueKeyMapped(e.Mapping, table, column, row[attrIdx])]
-				memo[row[attrIdx]] = isMember
+		isMember := [2][]sqlval.Value{{sqlval.NewBool(false)}, {sqlval.NewBool(true)}}
+		newValues = func(key string) []sqlval.Value {
+			if _, ok := members[key]; ok {
+				return isMember[1]
 			}
-			rows = append(rows, extendRow(arena, row, attrIdx, sqlval.NewBool(isMember), replace, visible))
+			return isMember[0]
 		}
-		work.rows = rows
-		if replace {
-			work.headers[attrIdx] = newCol
-		} else {
-			work.headers = insertHeader(work.headers, visible, newCol)
-		}
-		st.Join += time.Since(t0)
-		return nil
+	default:
+		return fmt.Errorf("core: unexpected schema enrichment %v", en.Kind)
 	}
-	return fmt.Errorf("core: unexpected schema enrichment %v", en.Kind)
+
+	t0 := time.Now()
+	newCol := uniqueName(shortName(en.Property), work.headers)
+	replace := en.Kind == sesql.SchemaReplacement || en.Kind == sesql.BoolSchemaReplacement
+	rows := make([][]sqlval.Value, 0, len(work.rows))
+	arena := extendArena(work.rows, replace)
+	// Column values repeat across rows; memoise the value→term→key
+	// mapping so the per-row cost is one comparable-map probe instead of
+	// an IRI string build.
+	memo := make(map[sqlval.Value][]sqlval.Value)
+	for _, row := range work.rows {
+		vals, ok := memo[row[attrIdx]]
+		if !ok {
+			vals = newValues(valueKeyMapped(e.Mapping, table, column, row[attrIdx]))
+			memo[row[attrIdx]] = vals
+		}
+		for _, v := range vals {
+			rows = append(rows, extendRow(arena, row, attrIdx, v, replace, visible))
+		}
+	}
+	work.rows = rows
+	if replace {
+		work.headers[attrIdx] = newCol
+	} else {
+		work.headers = insertHeader(work.headers, visible, newCol)
+	}
+	st.Join += time.Since(t0)
+	return nil
 }
 
 // extendArena returns a row arena sized for the enrichment's output rows
@@ -955,125 +955,4 @@ func uniqueName(base string, taken []string) string {
 		}
 		name = fmt.Sprintf("%s_%d", base, n)
 	}
-}
-
-// materialize writes the workset into the support database as a temp table
-// and returns the (sanitised, unique) physical column names in order.
-func materialize(support *engine.DB, table string, work *workset) ([]string, error) {
-	cols := make([]string, len(work.headers))
-	used := map[string]bool{}
-	for i, h := range work.headers {
-		name := sanitizeIdent(h)
-		if name == "" {
-			name = fmt.Sprintf("col%d", i+1)
-		}
-		base := name
-		for n := 2; used[strings.ToLower(name)]; n++ {
-			name = fmt.Sprintf("%s_%d", base, n)
-		}
-		used[strings.ToLower(name)] = true
-		cols[i] = name
-	}
-	schema := make(sqldb.Schema, len(cols))
-	for i, c := range cols {
-		schema[i] = sqldb.Column{Name: c, Type: inferType(work.rows, i)}
-	}
-	tab, err := support.Catalog().CreateTable(table, schema, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range work.rows {
-		if err := tab.Insert(row); err != nil {
-			return nil, fmt.Errorf("core: materialising %s: %w", table, err)
-		}
-	}
-	return cols, nil
-}
-
-func sanitizeIdent(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9':
-			if b.Len() == 0 {
-				b.WriteByte('c')
-			}
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return strings.Trim(b.String(), "_")
-}
-
-// inferType picks the narrowest type covering a column's values.
-func inferType(rows [][]sqlval.Value, col int) sqlval.Type {
-	sawInt, sawFloat, sawBool, sawString := false, false, false, false
-	for _, r := range rows {
-		switch r[col].Type() {
-		case sqlval.TypeInt:
-			sawInt = true
-		case sqlval.TypeFloat:
-			sawFloat = true
-		case sqlval.TypeBool:
-			sawBool = true
-		case sqlval.TypeString:
-			sawString = true
-		}
-	}
-	switch {
-	case sawString:
-		return sqlval.TypeString
-	case sawFloat && !sawBool:
-		return sqlval.TypeFloat
-	case sawInt && !sawBool:
-		return sqlval.TypeInt
-	case sawBool && !sawInt && !sawFloat:
-		return sqlval.TypeBool
-	case sawBool || sawInt || sawFloat:
-		return sqlval.TypeString // mixed bool/numeric: fall back to text
-	default:
-		return sqlval.TypeString // all NULL
-	}
-}
-
-// buildFinalSQL renders the Fig. 6 final query: project the visible columns
-// (dropping hidden ones) from the temp table, re-applying any deferred
-// ORDER BY / LIMIT / OFFSET.
-func buildFinalSQL(tempCols, headers []string, visible int, orig *sqlparser.Select, deferOrder bool) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i := 0; i < visible; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%q", tempCols[i])
-		if tempCols[i] != headers[i] {
-			fmt.Fprintf(&b, " AS %q", strings.ReplaceAll(headers[i], `"`, `'`))
-		}
-	}
-	b.WriteString(" FROM sesql_result")
-	if deferOrder {
-		if len(orig.OrderBy) > 0 {
-			b.WriteString(" ORDER BY ")
-			for i, o := range orig.OrderBy {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(o.Expr.SQL())
-				if o.Desc {
-					b.WriteString(" DESC")
-				}
-			}
-		}
-		if orig.Limit != nil {
-			b.WriteString(" LIMIT " + orig.Limit.SQL())
-		}
-		if orig.Offset != nil {
-			b.WriteString(" OFFSET " + orig.Offset.SQL())
-		}
-	}
-	return b.String()
 }

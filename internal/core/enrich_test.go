@@ -413,8 +413,8 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 		t.Error("total time must be positive")
 	}
 
-	// A WHERE enrichment with a deferred ORDER BY/LIMIT still goes through
-	// the temporary support database.
+	// A WHERE enrichment defers ORDER BY/LIMIT to a final step over the
+	// join buffer; FinalSQLText renders that step.
 	_, stats2, err := e.QueryStats("alice", `SELECT landfill_name FROM elem_contained
 WHERE ${elem_name = HazardousWaste:c1}
 ORDER BY landfill_name LIMIT 2
@@ -422,8 +422,8 @@ ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.FinalSQLText == "" || !strings.Contains(stats2.FinalSQLText, "sesql_result") {
-		t.Errorf("deferred ORDER BY must run a final SQL, got %q", stats2.FinalSQLText)
+	if stats2.FinalSQLText != "ORDER BY landfill_name LIMIT 2" {
+		t.Errorf("deferred ORDER BY final step = %q, want %q", stats2.FinalSQLText, "ORDER BY landfill_name LIMIT 2")
 	}
 }
 

@@ -399,7 +399,7 @@ func abbrev(s string) string {
 func ContainsSubtree(hay, needle sqlparser.Expr) bool {
 	found := false
 	target := needle.SQL()
-	walkExpr(hay, func(e sqlparser.Expr) {
+	WalkExpr(hay, func(e sqlparser.Expr) {
 		if e.SQL() == target {
 			found = true
 		}
@@ -461,42 +461,44 @@ func ReplaceSubtree(hay, needle, repl sqlparser.Expr) (sqlparser.Expr, int) {
 	return rewrite(hay), n
 }
 
-func walkExpr(e sqlparser.Expr, fn func(sqlparser.Expr)) {
+// WalkExpr calls fn on every node of the expression tree, parents before
+// children, left to right.
+func WalkExpr(e sqlparser.Expr, fn func(sqlparser.Expr)) {
 	if e == nil {
 		return
 	}
 	fn(e)
 	switch ex := e.(type) {
 	case *sqlparser.BinExpr:
-		walkExpr(ex.L, fn)
-		walkExpr(ex.R, fn)
+		WalkExpr(ex.L, fn)
+		WalkExpr(ex.R, fn)
 	case *sqlparser.UnaryExpr:
-		walkExpr(ex.E, fn)
+		WalkExpr(ex.E, fn)
 	case *sqlparser.IsNull:
-		walkExpr(ex.E, fn)
+		WalkExpr(ex.E, fn)
 	case *sqlparser.InList:
-		walkExpr(ex.E, fn)
+		WalkExpr(ex.E, fn)
 		for _, le := range ex.List {
-			walkExpr(le, fn)
+			WalkExpr(le, fn)
 		}
 	case *sqlparser.Between:
-		walkExpr(ex.E, fn)
-		walkExpr(ex.Lo, fn)
-		walkExpr(ex.Hi, fn)
+		WalkExpr(ex.E, fn)
+		WalkExpr(ex.Lo, fn)
+		WalkExpr(ex.Hi, fn)
 	case *sqlparser.FuncCall:
 		for _, a := range ex.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *sqlparser.CaseExpr:
 		if ex.Operand != nil {
-			walkExpr(ex.Operand, fn)
+			WalkExpr(ex.Operand, fn)
 		}
 		for _, w := range ex.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Then, fn)
+			WalkExpr(w.Cond, fn)
+			WalkExpr(w.Then, fn)
 		}
 		if ex.Else != nil {
-			walkExpr(ex.Else, fn)
+			WalkExpr(ex.Else, fn)
 		}
 	}
 }

@@ -305,31 +305,27 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 		}
 	}
 
-	// LIMIT/OFFSET are constant expressions: evaluate once.
-	if sel.Offset != nil {
-		n, err := constInt(sel.Offset)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("sqlexec: negative OFFSET")
-		}
-		p.offset = n
-	}
-	if sel.Limit != nil {
-		n, err := constInt(sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("sqlexec: negative LIMIT")
-		}
-		p.limit = n
+	if p.limit, p.offset, err = limitOffset(sel.Limit, sel.Offset); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-func constInt(e sqlparser.Expr) (int, error) {
+// limitOffset evaluates the constant LIMIT and OFFSET expressions once;
+// an absent one reads -1.
+func limitOffset(limit, offset sqlparser.Expr) (l, o int, err error) {
+	if o, err = constCount(offset, "OFFSET"); err == nil {
+		l, err = constCount(limit, "LIMIT")
+	}
+	return l, o, err
+}
+
+// constCount evaluates a LIMIT or OFFSET expression: -1 when absent, an
+// error when negative.
+func constCount(e sqlparser.Expr, clause string) (int, error) {
+	if e == nil {
+		return -1, nil
+	}
 	ce, err := compileExpr(e, &compileEnv{})
 	if err != nil {
 		return 0, err
@@ -337,6 +333,9 @@ func constInt(e sqlparser.Expr) (int, error) {
 	v, err := ce.eval(nil)
 	if err != nil {
 		return 0, err
+	}
+	if v.Int() < 0 {
+		return 0, fmt.Errorf("sqlexec: negative %s", clause)
 	}
 	return int(v.Int()), nil
 }
@@ -1264,6 +1263,18 @@ func (c cCase) eval(row []sqlval.Value) (sqlval.Value, error) {
 		return c.els.eval(row)
 	}
 	return sqlval.Null, nil
+}
+
+// ResolvesInFrom reports whether e resolves against the columns sel's
+// FROM clause binds: the scope ORDER BY falls back to when the output
+// headers do not resolve a key.
+func ResolvesInFrom(db *sqldb.Database, sel *sqlparser.Select, e sqlparser.Expr) bool {
+	c := &selCompiler{db: db, sel: sel}
+	if c.resolveSources() != nil {
+		return false
+	}
+	_, err := compileExpr(e, &compileEnv{cols: c.layout})
+	return err == nil
 }
 
 // --- Predicate: compiled boolean expression over a fixed layout ---

@@ -19,6 +19,7 @@ import (
 
 	sched "crosse/internal/exec"
 	"crosse/internal/sqldb"
+	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
 )
 
@@ -818,9 +819,12 @@ func (s *topKSorter) add(out, under []sqlval.Value) error {
 		return nil // loses to the current worst: drop without copying
 	}
 	// Retained: copy the keys and the projected row out of the scratch
-	// buffers.
+	// buffers (a nil rowA means the caller's rows are stable).
 	nr.keys = s.keyA.Copy(keys)
-	nr.row = s.rowA.Copy(out)
+	nr.row = out
+	if s.rowA != nil {
+		nr.row = s.rowA.Copy(out)
+	}
 
 	if s.cap < 0 || len(s.rows) < s.cap {
 		s.rows = append(s.rows, nr)
@@ -879,4 +883,50 @@ func (s *topKSorter) flush(yield func([]sqlval.Value) bool) error {
 		}
 	}
 	return nil
+}
+
+// SortKey is one ORDER BY key of SortRows. Expr, when set, is evaluated
+// over the row; Slot, when >= 0, is the row position that already holds
+// the key's value. With both, Slot serves each row whose Expr evaluation
+// fails: the projected-then-underlying resolution Compile gives ORDER BY.
+type SortKey struct {
+	Expr *CompiledExpr
+	Slot int
+	Desc bool
+}
+
+// SortRows applies ORDER BY, OFFSET and LIMIT to rows that are already
+// buffered, with the same sorter a SelectPlan uses: CompareForSort keys,
+// ties in arrival order, and a bounded heap of offset+limit rows when
+// there is a LIMIT. limit and offset are constant expressions, nil when
+// absent. The returned rows are the input rows, not copies.
+func SortRows(rows [][]sqlval.Value, keys []SortKey, limit, offset sqlparser.Expr) ([][]sqlval.Value, error) {
+	p := &SelectPlan{}
+	var err error
+	if p.limit, p.offset, err = limitOffset(limit, offset); err != nil {
+		return nil, err
+	}
+	for _, k := range keys {
+		op := orderPlan{desc: k.Desc}
+		if k.Expr != nil {
+			op.outKey = k.Expr.e
+		}
+		if k.Slot >= 0 {
+			op.underKey = cSlot{k.Slot}
+		}
+		p.order = append(p.order, op)
+	}
+	s := newTopKSorter(p, 0)
+	s.rowA = nil
+	for _, row := range rows {
+		if err := s.add(row, row); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]sqlval.Value, 0, len(s.rows))
+	err = s.flush(func(row []sqlval.Value) bool {
+		out = append(out, row)
+		return true
+	})
+	return out, err
 }

@@ -88,13 +88,9 @@ func AppendIdentityKey(dst []byte, v Value) []byte {
 	case TypeFloat:
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
 	case TypeString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		return append(dst, v.s...)
+		return append(binary.AppendUvarint(dst, uint64(len(v.s))), v.s...)
 	case TypeBool:
-		if v.b {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
+		return strconv.AppendBool(dst, v.b)
 	}
 	return dst
 }
