@@ -16,7 +16,8 @@
 //
 // With -guard, benchjson also enforces the parallel-scaling floor and
 // exits nonzero when any matched family's highest-CPU ns/op exceeds its
-// single-core ns/op by more than -guard-ratio:
+// single-core ns/op by more than -guard-ratio (with -nproc, the highest CPU
+// setting within the host's cores):
 //
 //	go run ./cmd/benchjson -in bench.txt -out BENCH.json \
 //	  -guard 'BenchmarkSQLJoinBuildHeavy|BenchmarkSPARQLPathHead'

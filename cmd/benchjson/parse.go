@@ -143,7 +143,9 @@ func Parse(out string) (Report, error) {
 // than the serial path beyond measurement jitter. A pattern that matches
 // nothing, or a matched benchmark missing its single-core baseline or a
 // multi-core setting, is an error too: a mis-wired sweep must fail loud,
-// not pass vacuously.
+// not pass vacuously. When the core count is known (SetNProc), the
+// comparison uses the highest setting not marked oversubscribed: a run at
+// more GOMAXPROCS than cores measures scheduling overhead, not scaling.
 func Guard(r Report, pattern *regexp.Regexp, maxRatio float64) error {
 	byName := map[string][]Entry{}
 	var names []string
@@ -162,9 +164,12 @@ func Guard(r Report, pattern *regexp.Regexp, maxRatio float64) error {
 	var bad []string
 	for _, n := range names {
 		es := byName[n] // report order: rising CPU
+		for len(es) > 1 && es[len(es)-1].Oversubscribed {
+			es = es[:len(es)-1]
+		}
 		base, top := es[0], es[len(es)-1]
 		if base.CPU != 1 || top.CPU == 1 {
-			bad = append(bad, fmt.Sprintf("%s: need a cpu=1 baseline and a multi-core run, got cpu settings %v", n, cpus(es)))
+			bad = append(bad, fmt.Sprintf("%s: need a cpu=1 baseline and a multi-core run that is not oversubscribed, got cpu settings %v", n, cpus(byName[n])))
 			continue
 		}
 		b, t := base.Metrics["ns/op"], top.Metrics["ns/op"]

@@ -307,3 +307,42 @@ BenchmarkA-4  	10	 70 ns/op
 		}
 	}
 }
+
+// With the core count known, Guard compares cpu=1 against the highest
+// setting the host really has: an oversubscribed regression does not
+// fail the build, a regression within nproc still does, and a family with
+// no multi-core run within nproc fails loud. With nproc unknown, the
+// highest setting counts, as before.
+func TestGuardSkipsOversubscribed(t *testing.T) {
+	r, err := Parse(`BenchmarkOverOnly    	10	100 ns/op
+BenchmarkOverOnly-2  	10	 60 ns/op
+BenchmarkOverOnly-4  	10	300 ns/op
+BenchmarkWithin      	10	100 ns/op
+BenchmarkWithin-2    	10	150 ns/op
+BenchmarkWithin-4    	10	 50 ns/op
+BenchmarkNoMulti     	10	100 ns/op
+BenchmarkNoMulti-4   	10	 50 ns/op
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := func(pattern string) error { return Guard(r, regexp.MustCompile(pattern), 1.10) }
+
+	if err := guard("BenchmarkOverOnly"); err == nil {
+		t.Error("nproc unknown: the cpu=4 regression must fail")
+	}
+	if err := guard("BenchmarkWithin"); err != nil {
+		t.Errorf("nproc unknown: cpu=4 is the comparison point: %v", err)
+	}
+
+	r.SetNProc(2)
+	if err := guard("BenchmarkOverOnly"); err != nil {
+		t.Errorf("nproc 2: the oversubscribed cpu=4 entry must be ignored: %v", err)
+	}
+	if err := guard("BenchmarkWithin"); err == nil || !strings.Contains(err.Error(), "cpu=2") {
+		t.Errorf("nproc 2: the cpu=2 regression must fail, got %v", err)
+	}
+	if err := guard("BenchmarkNoMulti"); err == nil || !strings.Contains(err.Error(), "not oversubscribed") {
+		t.Errorf("nproc 2: no multi-core run within nproc must fail, got %v", err)
+	}
+}
