@@ -24,7 +24,8 @@ package sparql
 // The path requires an rdf.ConcurrentReader — a reader whose methods are
 // pure reads under the transaction lock. Graphs that fall back to the
 // interning adapter, ASK queries (first match wins; nothing to fan out),
-// and small posting lists stay serial; every decline records its reason in
+// a lone property path with nothing downstream, and small posting lists
+// stay serial; every decline records its reason in
 // exec.fallback, surfaced as Result.ParallelFallback / StreamInfo.
 
 import (
@@ -60,6 +61,13 @@ func (e *exec) tryParallel() (*Result, bool) {
 	}
 	if len(p.root.patterns) == 0 {
 		e.fallback = "no triple patterns"
+		return nil, false
+	}
+	if root := p.root; len(root.patterns) == 1 && root.patterns[0].path != nil &&
+		len(root.filters) == 0 && len(root.others) == 0 && !e.distinct && len(p.order) == 0 {
+		// The coordinator computes the whole answer while materialising
+		// the head; workers would only copy its pairs.
+		e.fallback = "lone property path: nothing downstream to fan out"
 		return nil, false
 	}
 	if _, ok := e.r.(rdf.ConcurrentReader); !ok {

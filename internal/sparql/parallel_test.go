@@ -128,10 +128,12 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 		ordered bool // exact sequence compare; else sorted multiset
 		count   int  // when > 0, compare size only (LIMIT over unordered)
 	}{
-		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c }", ns, ns)},
+		// A lone path pattern declines the fan-out, so the unordered
+		// cases carry a FILTER to keep a step downstream of the head.
+		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c FILTER (?x != ?c) }", ns, ns)},
 		{text: fmt.Sprintf("SELECT DISTINCT ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>+ ?c }", ns, ns)},
 		{text: fmt.Sprintf("SELECT ?x ?c ?r WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c . ?x <%srank> ?r } ORDER BY ?r ?c", ns, ns, ns), ordered: true},
-		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c } LIMIT 40", ns, ns), count: 40},
+		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c FILTER (?x != ?c) } LIMIT 40", ns, ns), count: 40},
 	} {
 		qu, err := Parse(tc.text)
 		if err != nil {
@@ -191,7 +193,8 @@ func TestParallelFallbackReasons(t *testing.T) {
 		})
 	}
 	sel := fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r }", ns)
-	pathSel := fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank>+ ?r }", ns)
+	pathSel := fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank>+ ?r FILTER (?x != ?r) }", ns)
+	lonePath := fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank>+ ?r }", ns)
 
 	// Default thresholds: 100 matches is below parMinMatches.
 	for _, tc := range []struct {
@@ -202,6 +205,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 		{sel, Options{Parallelism: 1}, "parallelism=1"},
 		{sel, Options{Parallelism: 4}, "driving pattern below parallel threshold"},
 		{pathSel, Options{Parallelism: 4}, "driving path frontier below parallel threshold"},
+		{lonePath, Options{Parallelism: 4}, "lone property path: nothing downstream to fan out"},
 		{fmt.Sprintf("ASK { ?x <%srank> ?r }", ns), Options{Parallelism: 4}, "ask query"},
 		{sel + " LIMIT 0", Options{Parallelism: 4}, "limit 0"},
 	} {
@@ -227,6 +231,20 @@ func TestParallelFallbackReasons(t *testing.T) {
 	}
 	if res.ParallelFallback != "" {
 		t.Errorf("eligible query fell back: %q", res.ParallelFallback)
+	}
+	// A lone path declines even above the thresholds; DISTINCT gives it
+	// downstream work, so it fans out again.
+	for query, want := range map[string]string{
+		lonePath: "lone property path: nothing downstream to fan out",
+		strings.Replace(lonePath, "SELECT", "SELECT DISTINCT", 1): "",
+	} {
+		res, err := EvalOpts(st, query, Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ParallelFallback != want {
+			t.Errorf("%q forced: fallback %q, want %q", query, res.ParallelFallback, want)
+		}
 	}
 	pl, err := Compile(qu)
 	if err != nil {
