@@ -132,7 +132,7 @@
 // wins — and every fallback names its reason:
 // sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
-// ("base-sql: ...", "sparql: ...", "final-sql: ..."), and the REST stats
+// ("base-sql: ...", "sparql: ..."), and the REST stats
 // object surfaces it as parallel_fallback, so "why didn't this query
 // parallelise" is an API field, not a profiling session. The knob is
 // sqlexec.Options.Parallelism / sparql.Options.Parallelism /
@@ -156,7 +156,11 @@
 // recompile on next lookup, while data mutations never invalidate. Both
 // SESQL's cleaned base query (Fig. 6's relational step, on the hot path of
 // every enriched request) and plain SQL fast-path queries stream their
-// rows directly into the JoinManager's workset through cached plans.
+// rows directly into the JoinManager's workset through cached plans. A
+// WHERE enrichment costs one predicate run per distinct tuple of the
+// hidden columns its condition reads and per candidate value, not one per
+// row; the ORDER BY / LIMIT / OFFSET it defers is answered by sorting that
+// buffer, with no support database.
 //
 // # Persistence and recovery
 //
