@@ -4,8 +4,8 @@
 // tree; this package's Enricher — the Semantic Query Module (SQM) — then
 // constructs SPARQL queries against the user's knowledge base, issues the
 // SQL and SPARQL queries independently, and a JoinManager combines the
-// partial results in a temporary support database using an XML-declared
-// resource mapping, over which a final SQL query produces the SESQL result.
+// partial results in one buffer using an XML-declared resource mapping;
+// a final step over that buffer produces the SESQL result.
 package core
 
 import (

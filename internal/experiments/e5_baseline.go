@@ -12,7 +12,7 @@ import (
 // paper's architecture implicitly competes with: manually exporting the
 // user's contextual knowledge into a relational table and writing the join
 // by hand. Expected shape: hand-written wins on raw latency (it skips
-// SPARQL + temp tables) by a modest constant factor, while SESQL's cost
+// SPARQL and the JoinManager) by a modest constant factor, while SESQL's cost
 // stays within the same order of magnitude and buys per-user context
 // without any manual ETL — the paper's trade-off.
 func RunE5(w io.Writer, quick bool) error {

@@ -78,8 +78,8 @@ func AppendJoinKey(dst []byte, v Value) []byte {
 // payload, floats by math.Float64bits. Unlike AppendKey it tells -0.0
 // from +0.0 and gives NaN a key that matches itself, so a memo keyed on
 // it is exact for any deterministic function of the value, including one
-// that renders it. Payloads are fixed-width or length-prefixed, so the
-// keys of a tuple concatenate injectively.
+// that renders it. Every payload is self-delimiting, so the keys of a
+// tuple concatenate injectively.
 func AppendIdentityKey(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.typ))
 	switch v.typ {
