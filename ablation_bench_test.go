@@ -33,7 +33,7 @@ WHERE e1.elem_name = e2.elem_name`
 		b.Run(name, func(b *testing.B) {
 			opts := sqlexec.Options{DisableHashJoin: disabled}
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryOpts(q, opts); err != nil {
+				if _, err := sqlexec.Exec(db.Catalog(), q, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

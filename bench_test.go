@@ -10,6 +10,7 @@ package crosse
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -535,7 +536,7 @@ func BenchmarkSQLSelect(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryOpts(c.q, c.opts); err != nil {
+				if _, err := sqlexec.Exec(db.Catalog(), c.q, c.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -577,7 +578,7 @@ func BenchmarkSQLJoin(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := small.QueryOpts(multi, c.opts); err != nil {
+				if _, err := sqlexec.Exec(small.Catalog(), multi, c.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -691,7 +692,7 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Run(); err != nil {
+			if _, err := p.RunContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -702,11 +703,11 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p, err := sqlexec.Compile(db.Catalog(), sel)
+			p, err := sqlexec.CompileOpts(db.Catalog(), sel, sqlexec.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Run(); err != nil {
+			if _, err := p.RunContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -717,7 +718,7 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sqlexec.Compile(db.Catalog(), sel); err != nil {
+			if _, err := sqlexec.CompileOpts(db.Catalog(), sel, sqlexec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -729,7 +730,7 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sqlexec.Compile(db.Catalog(), st.(*sqlparser.Select)); err != nil {
+			if _, err := sqlexec.CompileOpts(db.Catalog(), st.(*sqlparser.Select), sqlexec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -778,7 +779,7 @@ func BenchmarkSPARQL(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Eval(st, q); err != nil {
+				if _, err := sparql.EvalOpts(st, q, sparql.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -791,7 +792,7 @@ func BenchmarkSPARQL(b *testing.B) {
 	b.Run("BGPJoin100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sparql.Eval(big, sparqlBenchBGPJoin); err != nil {
+			if _, err := sparql.EvalOpts(big, sparqlBenchBGPJoin, sparql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -867,7 +868,7 @@ func BenchmarkSPARQLPathClosure(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if err := plan.Stream(view, func(sparql.Solution) bool { n++; return true }); err != nil {
+				if _, err := plan.StreamInfoOpts(view, sparql.Options{}, func(sparql.Solution) bool { n++; return true }); err != nil {
 					b.Fatal(err)
 				}
 				if n == 0 {
@@ -899,7 +900,7 @@ func BenchmarkSPARQLCompiledPlan(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Eval(st); err != nil {
+			if _, err := plan.EvalOpts(st, sparql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -907,7 +908,7 @@ func BenchmarkSPARQLCompiledPlan(b *testing.B) {
 	b.Run("ParsePlanEval", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sparql.Eval(st, q); err != nil {
+			if _, err := sparql.EvalOpts(st, q, sparql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -946,7 +947,7 @@ func BenchmarkSPARQLBGPJoinAllocs(b *testing.B) {
 	b.Run("Bindings", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := plan.Eval(st)
+			res, err := plan.EvalOpts(st, sparql.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -959,7 +960,7 @@ func BenchmarkSPARQLBGPJoinAllocs(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
-			err := plan.Stream(st, func(s sparql.Solution) bool {
+			_, err := plan.StreamInfoOpts(st, sparql.Options{}, func(s sparql.Solution) bool {
 				if t, ok := s.Term(0); ok && t.IsIRI() {
 					n++
 				}

@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -112,7 +113,7 @@ func buildPlatform(scale int, user string) (*core.Enricher, error) {
 }
 
 func runQuery(enr *core.Enricher, user, q string, withStats bool) error {
-	res, stats, err := enr.QueryStats(user, q)
+	res, stats, err := enr.QueryStatsContext(context.Background(), user, q)
 	if err != nil {
 		return err
 	}

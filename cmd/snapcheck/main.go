@@ -133,7 +133,7 @@ func probe(e *core.Enricher) (*probeResults, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := sparql.Eval(view, sparqlProbe)
+		r, err := sparql.EvalOpts(view, sparqlProbe, sparql.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("SPARQL probe for %s: %w", u, err)
 		}

@@ -190,7 +190,7 @@ func probe(db *engine.DB, p *kb.Platform) (*probeResults, error) {
 		if err != nil {
 			return nil, err
 		}
-		sr, err := sparql.Eval(view, `SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`)
+		sr, err := sparql.EvalOpts(view, `SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`, sparql.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("walcheck: SPARQL probe for %s: %w", u, err)
 		}

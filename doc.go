@@ -61,8 +61,9 @@
 // execute at the first join step where their variables are bound, DISTINCT
 // deduplicates on projected ID tuples, ASK and LIMIT-without-ORDER-BY
 // terminate the pipeline early, and terms are decoded only at projection.
-// Plan.Stream exposes the zero-materialisation path (no Binding maps);
-// Eval/EvalQuery keep the map-based Result for compatibility. A closure
+// Plan.StreamInfoOpts is the zero-materialisation path (no Binding maps);
+// sparql.EvalOpts and Plan.EvalOpts return the map-based Result. Every
+// entry point takes an rdf.IDGraph. A closure
 // (p+, p*, p?) costs the edges of its inner path plus its answer, not the
 // view: with both ends unbound the inner path is enumerated once into a
 // successor map and one breadth-first search runs per node that has a
@@ -71,7 +72,7 @@
 // itself at length zero.
 //
 // SQL evaluation (internal/sqlexec) mirrors the same design on the
-// relational side. sqlexec.Compile lowers a parsed SELECT once into an
+// relational side. sqlexec.CompileOpts lowers a parsed SELECT once into an
 // immutable physical SelectPlan: every column reference resolves to a
 // dense row-slot offset at compile time, expressions become slot-resolved
 // evaluator trees (constant LIKE patterns pre-lowered to segment
@@ -84,10 +85,12 @@
 // Execution is a push-based pipeline over one reused row buffer with
 // arena-backed materialisation only at the sink; LIMIT without ORDER BY
 // stops the pipeline early. Plan ablation knobs (hash joins, index seeks,
-// top-K) live in sqlexec.Options — per call, not a package global. The
-// seed's interpreter survives as the reference oracle the randomised
-// parity suite (internal/sqlexec/parity_test.go) pins the compiled
-// semantics to.
+// top-K) live in sqlexec.Options — per call, not a package global.
+// sqlexec.Exec runs one statement; a cached plan runs through
+// SelectPlan.RunContext or StreamInfoContext. The seed's interpreter
+// survives only in test files (internal/sqlexec/oracle_test.go), as the
+// reference oracle the randomised parity suite and the differential fuzz
+// target pin the compiled semantics to.
 //
 // # Intra-query parallel execution
 //
@@ -100,8 +103,8 @@
 // projection) with private execution state, against shared state frozen
 // before the first worker starts (hash tables and materialised join
 // sides in SQL, the resolved constant table and one read transaction in
-// SPARQL — which requires an rdf.ConcurrentReader, a reader whose probes
-// are pure reads under the transaction lock). SQL heap tables implement
+// SPARQL, whose rdf.IDReader probes are pure reads under the transaction
+// lock). SQL heap tables implement
 // sqldb.StableRowScanner — scanned rows are immutable in place, updates
 // replace rows wholesale — so materialisation retains the stored rows
 // zero-copy. Output is buffered per morsel (or stamped with its
@@ -127,16 +130,17 @@
 // completed-morsel prefix can prove a LIMIT satisfied and cancel the
 // remaining morsels. Shapes that still cannot merge exactly fall back to
 // serial — ASK (first match wins), non-mergeable aggregate functions,
-// foreign-table scans, graph readers without rdf.ConcurrentReader, and
-// inputs below the morsel threshold where fan-out costs more than it
+// foreign-table scans, and inputs below the morsel threshold where fan-out costs more than it
 // wins — and every fallback names its reason:
 // sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
 // ("base-sql: ...", "sparql: ..."), and the REST stats
 // object surfaces it as parallel_fallback, so "why didn't this query
 // parallelise" is an API field, not a profiling session. The knob is
-// sqlexec.Options.Parallelism / sparql.Options.Parallelism /
-// core.Enricher.SetParallelism (0 = GOMAXPROCS, 1 = serial); parity
+// core.ExecOptions.Parallelism (set through Enricher.SetExecOptions or
+// the SetParallelism shorthand, and projected onto
+// sqlexec.Options.Parallelism / sparql.Options.Parallelism;
+// 0 = GOMAXPROCS, 1 = serial); parity
 // suites run every test at 1, 2 and 4 workers, and a determinism suite
 // requires ORDER BY (+ OFFSET/LIMIT) output to be byte-identical across
 // parallelism levels on tie-heavy keys.
@@ -218,9 +222,9 @@
 // when the file exists, saves atomically on SIGINT/SIGTERM and every
 // -snapshot-interval, exits non-zero when the shutdown save fails (a
 // second signal forces immediate exit), and the REST layer exposes
-// GET /api/admin/snapshot (stream a backup), POST /api/admin/snapshot
-// (persist to the configured path), GET /api/admin/wal (log position and
-// sync counters) and POST /api/admin/compact. cmd/snapcheck proves
+// GET /api/v1/admin/snapshot (stream a backup), POST /api/v1/admin/snapshot
+// (persist to the configured path), GET /api/v1/admin/wal (log position
+// and sync counters) and POST /api/v1/admin/compact. cmd/snapcheck proves
 // cold-start recovery in CI: it saves an image plus recorded probe
 // results, restores in a fresh process, and diffs SESQL/SPARQL results
 // and pattern counts.
@@ -262,7 +266,7 @@
 // Operationally, GET /healthz is the liveness probe (200 while the node
 // serves queries, 503 only when the journal is wedged; degraded sources
 // mark status "degraded" without failing the probe) and
-// GET /api/admin/sources dumps the full per-source resilience state. The
+// GET /api/v1/admin/sources dumps the full per-source resilience state. The
 // guarantees are enforced twice: a randomized fault-injection property
 // suite (internal/fdw/fault_test.go over fdw.FaultConn — latency, wrong
 // errors, short writes, hangups and blackholes injected at arbitrary
@@ -275,17 +279,17 @@
 // # Serving tier
 //
 // The REST surface (internal/rest) is versioned: the public API lives
-// under /api/v1/..., legacy unversioned /api/... paths answer as
-// deprecated thin aliases for one release (Deprecation + Link
-// successor-version headers, once-per-path log notice), and every error
+// under /api/v1/... (the unversioned /api/... aliases of an earlier
+// release are retired and answer 404), and every error
 // response is a uniform {"error": {code, message, details}} envelope with
 // a typed error→status mapping (kb.ErrUnknownUser/ErrNoStatement → 404,
 // kb.DupError → 409, serve.ErrOverloaded → 429, fdw.ErrSourceDown and
 // core.ErrWedged → 503, parse/validation → 400). Collection endpoints
 // paginate with limit/offset plus a pre-pagination total (default 100,
 // max 1000). Execution options are unified in core.ExecOptions — one
-// struct projected into sqlexec.Options and sparql.Options — instead of
-// per-package plumbing. docs/API.md is the contract; the CI api-contract
+// struct, set with Enricher.SetExecOptions and projected into
+// sqlexec.Options and sparql.Options — and Enricher.QueryStatsContext is
+// the one SESQL entry point (Enricher.Query wraps it). docs/API.md is the contract; the CI api-contract
 // job boots the real binary and fails on envelope drift.
 //
 // In front of the handlers sits internal/serve, the heavy-traffic tier:
@@ -306,8 +310,7 @@
 //   - Per-endpoint request metrics (serve.Metrics): request counts,
 //     in-flight gauges, status classes and fixed-bucket latency
 //     histograms (p50/p95/p99), exposed at GET /api/v1/metrics together
-//     with cache, admission, plan-cache, circuit and WAL state. Legacy
-//     aliases fold into the v1 endpoint label.
+//     with cache, admission, plan-cache, circuit and WAL state.
 //   - Admission control (serve.Limiter) on the query-execution
 //     endpoints: at most -max-inflight requests execute, at most
 //     -inflight-queue wait, the rest shed immediately as typed 429s —

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -109,7 +110,7 @@ REPLACEVARIABLE(cond1, Elecond2.elem_name, oreAssemblage)`},
 		fmt.Println(strings.Repeat("=", 72))
 		fmt.Println(ex.query)
 		fmt.Println()
-		res, stats, err := enricher.QueryStats("researcher", ex.query)
+		res, stats, err := enricher.QueryStatsContext(context.Background(), "researcher", ex.query)
 		if err != nil {
 			log.Fatalf("%s: %v", ex.title, err)
 		}

@@ -155,7 +155,7 @@ func TestConcurrentImportRetractVsStreamedQueries(t *testing.T) {
 					return
 				}
 				n := 0
-				if err := plan.Stream(view, func(s sparql.Solution) bool {
+				if _, err := plan.StreamInfoOpts(view, sparql.Options{}, func(s sparql.Solution) bool {
 					n++
 					return true
 				}); err != nil {

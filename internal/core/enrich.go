@@ -67,14 +67,6 @@ func (e *Enricher) ExecOptions() ExecOptions { return e.opts }
 // call concurrently with Query.
 func (e *Enricher) SetParallelism(n int) { e.opts.Parallelism = n }
 
-// SetPartialResults toggles graceful degradation for unavailable remote
-// sources: when on, a scan over a source that is down before producing any
-// row (an open FDW circuit) contributes zero rows and the source is named
-// in Stats.SkippedSources; when off (the default) such queries fail fast
-// with an error matching fdw.ErrSourceDown. Shorthand for mutating
-// ExecOptions.PartialResults; not safe to call concurrently with Query.
-func (e *Enricher) SetPartialResults(on bool) { e.opts.PartialResults = on }
-
 // QueryCacheStats reports the cache's cumulative hits and misses; zeros when
 // caching is disabled.
 func (e *Enricher) QueryCacheStats() (hits, misses int) {
@@ -173,21 +165,17 @@ func (s *Stats) Total() time.Duration {
 	return s.Parse + s.BaseSQL + s.SPARQL + s.Join + s.FinalSQL
 }
 
-// Query evaluates a SESQL query in the user's context.
+// Query evaluates a SESQL query in the user's context, unbounded by any
+// deadline; QueryStatsContext is the full entry point.
 func (e *Enricher) Query(user, text string) (*sqlexec.Result, error) {
-	res, _, err := e.QueryStats(user, text)
+	res, _, err := e.QueryStatsContext(context.TODO(), user, text)
 	return res, err
 }
 
-// QueryStats evaluates a SESQL query and reports per-stage statistics.
-func (e *Enricher) QueryStats(user, text string) (*sqlexec.Result, *Stats, error) {
-	return e.QueryStatsContext(nil, user, text)
-}
-
-// QueryStatsContext is QueryStats bounded by ctx: scans over remote
-// (context-aware) sources honour the context's deadline and cancellation,
-// so a stalled peer cannot hang the query past its deadline. A nil ctx
-// behaves like QueryStats.
+// QueryStatsContext evaluates a SESQL query in the user's context under
+// the enricher's ExecOptions and reports per-stage statistics. Scans over
+// remote (context-aware) sources honour ctx's deadline and cancellation,
+// so a stalled peer cannot hang the query past its deadline.
 func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*sqlexec.Result, *Stats, error) {
 	st := &Stats{}
 
@@ -323,7 +311,7 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 }
 
 // sortBuffer orders and limits the buffered rows as the query's ORDER BY,
-// LIMIT and OFFSET ask. Like sqlexec.Compile, each key resolves first
+// LIMIT and OFFSET ask. Like sqlexec.CompileOpts, each key resolves first
 // against the visible output headers, which are final once the schema
 // enrichments have run; the hidden column the base query projected for
 // the key serves where that fails.
@@ -532,7 +520,7 @@ func parseAttrRef(attr string) *sqlparser.ColRef {
 // (ReplaceVariable) replaced by the values the ontology yields; a row
 // survives when some replacement satisfies the condition (the paper's
 // "treat the list as if it was a relational attribute").
-func (e *Enricher) applyWhereEnrichment(en sesql.Enrichment, wc whereCond, work *workset, view rdf.Graph, user string, st *Stats) error {
+func (e *Enricher) applyWhereEnrichment(en sesql.Enrichment, wc whereCond, work *workset, view rdf.IDGraph, user string, st *Stats) error {
 	scopeCols := scope(append(slices.Clip(work.headers), "__v"))
 	// The condition reads only these columns and __v, and REPLACEVARIABLE's
 	// candidates only its attribute, which is among them.
@@ -572,7 +560,7 @@ func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Ex
 	t0 := time.Now()
 	defer func() { st.Join += time.Since(t0) }()
 
-	pred, err := sqlexec.CompilePredicate(scopeCols, cond)
+	pred, err := sqlexec.CompileExpr(scopeCols, cond)
 	if err != nil {
 		return fmt.Errorf("core: WHERE enrichment condition: %w", err)
 	}
@@ -610,7 +598,7 @@ func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Ex
 
 // --- schema enrichments ---
 
-func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, work *workset, view rdf.Graph, user string, visible int, st *Stats) error {
+func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, work *workset, view rdf.IDGraph, user string, visible int, st *Stats) error {
 	attrIdx, err := resolveAttr(q.Select, work.headers[:visible], en.Attr)
 	if err != nil {
 		return err
@@ -658,14 +646,18 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 	rows := make([][]sqlval.Value, 0, len(work.rows))
 	arena := extendArena(work.rows, replace)
 	// Column values repeat across rows; memoise the value→term→key
-	// mapping so the per-row cost is one comparable-map probe instead of
-	// an IRI string build.
-	memo := make(map[sqlval.Value][]sqlval.Value)
+	// mapping so the per-row cost is one map probe instead of an IRI
+	// string build. The memo keys on exact identity
+	// (sqlval.AppendIdentityKey): -0.0 and 0.0 render, and so map, to
+	// different terms, and NaN must find its own entry.
+	memo := make(map[string][]sqlval.Value)
+	var key []byte
 	for _, row := range work.rows {
-		vals, ok := memo[row[attrIdx]]
+		key = sqlval.AppendIdentityKey(key[:0], row[attrIdx])
+		vals, ok := memo[string(key)]
 		if !ok {
 			vals = newValues(valueKeyMapped(e.Mapping, table, column, row[attrIdx]))
-			memo[row[attrIdx]] = vals
+			memo[string(key)] = vals
 		}
 		for _, v := range vals {
 			rows = append(rows, extendRow(arena, row, attrIdx, v, replace, visible))
@@ -725,7 +717,7 @@ func insertHeader(headers []string, visible int, name string) []string {
 // constructed SPARQL query or a stored one (Sec. IV-A.5: "prop refers to
 // either a property from the contextual ontology, or the identifier of a
 // previously stored SPARQL query").
-func (e *Enricher) propertyPairs(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) (map[string][]sqlval.Value, error) {
+func (e *Enricher) propertyPairs(en sesql.Enrichment, user string, view rdf.IDGraph, st *Stats) (map[string][]sqlval.Value, error) {
 	text := ""
 	minVarsErr := ""
 	if sq, ok := e.Platform.LookupQuery(user, en.Property); ok {
@@ -754,7 +746,7 @@ func (e *Enricher) propertyPairs(en sesql.Enrichment, user string, view rdf.Grap
 
 // conceptMembers returns the set of values related to the concept through
 // the property (for the boolean enrichments).
-func (e *Enricher) conceptMembers(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) (map[string]struct{}, error) {
+func (e *Enricher) conceptMembers(en sesql.Enrichment, user string, view rdf.IDGraph, st *Stats) (map[string]struct{}, error) {
 	prop := e.Mapping.PropertyIRI(en.Property)
 	concepts := e.Mapping.ConceptTerms(en.Concept)
 	var parts []string
@@ -778,7 +770,7 @@ func (e *Enricher) conceptMembers(en sesql.Enrichment, user string, view rdf.Gra
 // replacementValues returns the candidate values for a ReplaceConstant
 // enrichment: the results of a stored query, or the objects of triples
 // whose subject is the constant.
-func (e *Enricher) replacementValues(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) ([]sqlval.Value, error) {
+func (e *Enricher) replacementValues(en sesql.Enrichment, user string, view rdf.IDGraph, st *Stats) ([]sqlval.Value, error) {
 	text := ""
 	minVarsErr := ""
 	if sq, ok := e.Platform.LookupQuery(user, en.Property); ok {
@@ -810,7 +802,7 @@ func (e *Enricher) replacementValues(en sesql.Enrichment, user string, view rdf.
 // with no per-solution Binding map materialised. minVars guards stored
 // queries that must project a minimum number of variables; minVarsErr is
 // the error reported when they don't.
-func (e *Enricher) streamSPARQL(view rdf.Graph, text string, st *Stats, minVars int, minVarsErr string, fn func(sparql.Solution) bool) error {
+func (e *Enricher) streamSPARQL(view rdf.IDGraph, text string, st *Stats, minVars int, minVarsErr string, fn func(sparql.Solution) bool) error {
 	st.SPARQLQueries = append(st.SPARQLQueries, text)
 	t0 := time.Now()
 	defer func() { st.SPARQL += time.Since(t0) }()

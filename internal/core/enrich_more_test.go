@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -149,7 +150,7 @@ REPLACEVARIABLE(c2, elem_name, oreAssemblage)`)
 
 func TestStatsAccumulateAcrossEnrichments(t *testing.T) {
 	e := fixture(t)
-	_, stats, err := e.QueryStats("alice", `SELECT elem_name, landfill_name FROM elem_contained
+	_, stats, err := e.QueryStatsContext(context.Background(), "alice", `SELECT elem_name, landfill_name FROM elem_contained
 ENRICH
 SCHEMAEXTENSION(elem_name, dangerLevel)
 BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -249,7 +250,7 @@ REPLACEVARIABLE(c1, elem_name, oreAssemblage)`)
 
 func TestPlainSQLFastPath(t *testing.T) {
 	e := fixture(t)
-	r, stats, err := e.QueryStats("alice", `SELECT name FROM landfill ORDER BY name`)
+	r, stats, err := e.QueryStatsContext(context.Background(), "alice", `SELECT name FROM landfill ORDER BY name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestImportedKnowledgeChangesAnswers(t *testing.T) {
 
 func TestStatsStages(t *testing.T) {
 	e := fixture(t)
-	_, stats, err := e.QueryStats("alice", `SELECT elem_name, landfill_name FROM elem_contained
+	_, stats, err := e.QueryStatsContext(context.Background(), "alice", `SELECT elem_name, landfill_name FROM elem_contained
 WHERE landfill_name = 'a'
 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	if err != nil {
@@ -415,7 +416,7 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 
 	// A WHERE enrichment defers ORDER BY/LIMIT to a final step over the
 	// join buffer; FinalSQLText renders that step.
-	_, stats2, err := e.QueryStats("alice", `SELECT landfill_name FROM elem_contained
+	_, stats2, err := e.QueryStatsContext(context.Background(), "alice", `SELECT landfill_name FROM elem_contained
 WHERE ${elem_name = HazardousWaste:c1}
 ORDER BY landfill_name LIMIT 2
 ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)`)

@@ -250,7 +250,7 @@ func TestJournalAppendsVsStreamedReads(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if _, err := sparql.Eval(view, `SELECT ?s WHERE { ?s <`+DefaultIRIPrefix+`dangerLevel> "high" }`); err != nil {
+				if _, err := sparql.EvalOpts(view, `SELECT ?s WHERE { ?s <`+DefaultIRIPrefix+`dangerLevel> "high" }`, sparql.Options{}); err != nil {
 					errCh <- err
 					return
 				}

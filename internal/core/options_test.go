@@ -30,21 +30,12 @@ func TestExecOptionsRoundTrip(t *testing.T) {
 	if got := o.SPARQL(); got != wantSPARQL {
 		t.Errorf("SPARQL() = %+v, want %+v", got, wantSPARQL)
 	}
-
-	// The compatibility constructors must survive a round trip for every
-	// field the target executor understands.
-	if got := FromSQLOptions(o.SQL()).SQL(); got != wantSQL {
-		t.Errorf("FromSQLOptions round trip = %+v, want %+v", got, wantSQL)
-	}
-	if got := FromSPARQLOptions(o.SPARQL()).SPARQL(); got != wantSPARQL {
-		t.Errorf("FromSPARQLOptions round trip = %+v, want %+v", got, wantSPARQL)
-	}
 }
 
 func TestEnricherExecOptionsSetters(t *testing.T) {
 	e := &Enricher{}
+	e.SetExecOptions(ExecOptions{PartialResults: true})
 	e.SetParallelism(4)
-	e.SetPartialResults(true)
 	want := ExecOptions{Parallelism: 4, PartialResults: true}
 	if got := e.ExecOptions(); got != want {
 		t.Errorf("ExecOptions() = %+v, want %+v", got, want)

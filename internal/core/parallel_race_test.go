@@ -136,7 +136,7 @@ func TestParallelQueriesRaceJournaledWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				res, err := j.DB().QueryOpts(q, sqlexec.Options{Parallelism: 4})
+				res, err := sqlexec.Exec(j.DB().Catalog(), q, sqlexec.Options{Parallelism: 4})
 				if err != nil {
 					fail("%q: %v", q, err)
 					return

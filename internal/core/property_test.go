@@ -114,7 +114,7 @@ ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sres, err := sparql.Eval(view, `SELECT ?x WHERE { ?x <`+DefaultIRIPrefix+`isA> <`+DefaultIRIPrefix+`HazardousWaste> }`)
+		sres, err := sparql.EvalOpts(view, `SELECT ?x WHERE { ?x <`+DefaultIRIPrefix+`isA> <`+DefaultIRIPrefix+`HazardousWaste> }`, sparql.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestReplaceConstantEqualsInList(t *testing.T) {
 		enr := randomFixture(t, seed)
 		// Gather the hazardous set from the KB directly.
 		view, _ := enr.Platform.View("u")
-		sres, err := sparql.Eval(view, `SELECT ?x WHERE { ?x <`+DefaultIRIPrefix+`isA> <`+DefaultIRIPrefix+`HazardousWaste> }`)
+		sres, err := sparql.EvalOpts(view, `SELECT ?x WHERE { ?x <`+DefaultIRIPrefix+`isA> <`+DefaultIRIPrefix+`HazardousWaste> }`, sparql.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -145,7 +146,7 @@ func TestSQLPlanCacheEpochInvalidation(t *testing.T) {
 	if p3, _ := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text)); p3 != p1 {
 		t.Error("data mutation must not invalidate the cached plan")
 	}
-	res, err := p1.Run()
+	res, err := p1.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSQLPlanCacheEpochInvalidation(t *testing.T) {
 	if p4 == p1 {
 		t.Fatal("DDL must invalidate the cached plan")
 	}
-	res, err = p4.Run()
+	res, err = p4.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestSQLPlanCacheDDLRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := p.Run()
+				res, err := p.RunContext(context.Background())
 				if err != nil {
 					t.Error(err)
 					return

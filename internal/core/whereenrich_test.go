@@ -234,6 +234,35 @@ func TestWhereFixtureSignedZeros(t *testing.T) {
 	}
 }
 
+// TestSchemaEnrichmentSignedZeros pins the schema-enrichment memo to
+// value identity: the KB maps 0.0 and -0.0 to different terms, so a -0.0
+// row that follows a 0.0 row must not reuse the 0.0 row's objects.
+func TestSchemaEnrichmentSignedZeros(t *testing.T) {
+	e := whereFixture(t)
+	for _, tr := range []rdf.Triple{
+		{S: smg("0"), P: smg("sign"), O: lit("positive")},
+		{S: smg("-0"), P: smg("sign"), O: lit("negative")},
+	} {
+		if _, err := e.Platform.Insert("alice", tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"s0|0|positive", "s1|-0|negative", "s2|1.5|NULL",
+		"s3|-0|negative", "s4|0|positive", "s5|-0|negative",
+	}
+	for _, par := range []int{1, 4} {
+		e.SetParallelism(par)
+		got, err := e.Query("alice", `SELECT sensor, val FROM reading ENRICH SCHEMAEXTENSION(val, sign)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := rowStrings(got, true); !reflect.DeepEqual(rows, want) {
+			t.Errorf("parallelism %d:\n got %v\nwant %v", par, rows, want)
+		}
+	}
+}
+
 // TestDeferredOrderLimit pins the final step a WHERE enrichment defers:
 // ORDER BY, LIMIT and OFFSET apply to the filtered rows exactly as the
 // plain SQL with the candidates written out applies them, ties in

@@ -28,26 +28,9 @@ func (d *DB) Catalog() *sqldb.Database { return d.cat }
 
 // Exec executes one SQL statement and returns its result. SELECTs compile
 // to a streaming physical plan (see internal/sqlexec) before running.
+// Callers that need execution options call sqlexec.Exec on Catalog().
 func (d *DB) Exec(sql string) (*sqlexec.Result, error) {
-	return sqlexec.Exec(d.cat, sql)
-}
-
-// ExecOpts executes one SQL statement with execution options (planner
-// ablation knobs — hash joins, index seeks, top-K).
-func (d *DB) ExecOpts(sql string, opts sqlexec.Options) (*sqlexec.Result, error) {
-	return sqlexec.ExecOpts(d.cat, sql, opts)
-}
-
-// QueryOpts executes a row-producing statement with execution options.
-func (d *DB) QueryOpts(sql string, opts sqlexec.Options) (*sqlexec.Result, error) {
-	r, err := d.ExecOpts(sql, opts)
-	if err != nil {
-		return nil, err
-	}
-	if r.Columns == nil {
-		return nil, fmt.Errorf("engine: statement returned no result set")
-	}
-	return r, nil
+	return sqlexec.Exec(d.cat, sql, sqlexec.Options{})
 }
 
 // ExecScript executes a semicolon-separated sequence of statements,
@@ -78,7 +61,14 @@ func abbreviate(s string) string {
 
 // Query executes a statement that must produce rows.
 func (d *DB) Query(sql string) (*sqlexec.Result, error) {
-	return d.QueryOpts(sql, sqlexec.Options{})
+	r, err := d.Exec(sql)
+	if err != nil {
+		return nil, err
+	}
+	if r.Columns == nil {
+		return nil, fmt.Errorf("engine: statement returned no result set")
+	}
+	return r, nil
 }
 
 // RegisterForeign exposes an external relation in this database's

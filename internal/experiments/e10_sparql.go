@@ -62,7 +62,7 @@ func RunE10(w io.Writer, quick bool) error {
 		cells := []any{st.Len()}
 		for _, q := range queries {
 			med, err := medianOf(reps, func() error {
-				_, err := sparql.Eval(st, q.q)
+				_, err := sparql.EvalOpts(st, q.q, sparql.Options{})
 				return err
 			})
 			if err != nil {
@@ -81,7 +81,7 @@ func RunE10(w io.Writer, quick bool) error {
 			return err
 		}
 		med, err := medianOf(reps, func() error {
-			_, err := plan.Eval(st)
+			_, err := plan.EvalOpts(st, sparql.Options{})
 			return err
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -28,7 +29,7 @@ func RunE4(w io.Writer, quick bool) error {
 	for _, q := range scaledEnrichmentQueries() {
 		var stats *core.Stats
 		med, err := medianOf(3, func() error {
-			_, s, err := enr.QueryStats("alice", q.Query)
+			_, s, err := enr.QueryStatsContext(context.TODO(), "alice", q.Query)
 			stats = s
 			return err
 		})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"crosse/internal/core"
@@ -39,7 +40,7 @@ BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`
 		}
 		var stats *core.Stats
 		med, err := medianOf(reps, func() error {
-			_, s, err := enr.QueryStats("alice", query)
+			_, s, err := enr.QueryStatsContext(context.TODO(), "alice", query)
 			stats = s
 			return err
 		})

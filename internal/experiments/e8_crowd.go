@@ -63,7 +63,7 @@ func RunE8(w io.Writer, quick bool) error {
 		}
 		q := `SELECT ?x WHERE { ?x <http://smartground.eu/onto#dangerLevel> "high" } LIMIT 10`
 		viewQuery, err := medianOf(5, func() error {
-			_, err := sparql.Eval(view, q)
+			_, err := sparql.EvalOpts(view, q, sparql.Options{})
 			return err
 		})
 		if err != nil {

@@ -483,7 +483,7 @@ func (d *flipDialer) dial() (net.Conn, error) {
 // the half-open probe closes the circuit and full results resume.
 func TestGracefulDegradationTwoSources(t *testing.T) {
 	remoteA := sqldb.NewDatabase()
-	if _, err := sqlexec.Exec(remoteA, `CREATE TABLE reg_a (id INT, name TEXT)`); err != nil {
+	if _, err := sqlexec.Exec(remoteA, `CREATE TABLE reg_a (id INT, name TEXT)`, sqlexec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	tabA, _ := remoteA.Table("reg_a")
@@ -491,7 +491,7 @@ func TestGracefulDegradationTwoSources(t *testing.T) {
 		tabA.Insert([]sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewString(fmt.Sprintf("a%d", i))})
 	}
 	remoteB := sqldb.NewDatabase()
-	if _, err := sqlexec.Exec(remoteB, `CREATE TABLE reg_b (id INT, grade TEXT)`); err != nil {
+	if _, err := sqlexec.Exec(remoteB, `CREATE TABLE reg_b (id INT, grade TEXT)`, sqlexec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	tabB, _ := remoteB.Table("reg_b")
@@ -558,7 +558,7 @@ func TestGracefulDegradationTwoSources(t *testing.T) {
 
 	// Degraded mode: healthy source's rows survive, B's side is NULL,
 	// and the skipped source is named.
-	res, err = local.QueryOpts(q, sqlexec.Options{PartialResults: true})
+	res, err = sqlexec.Exec(local.Catalog(), q, sqlexec.Options{PartialResults: true})
 	if err != nil {
 		t.Fatalf("partial-results query: %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 func newRemote(t *testing.T, rows int) *sqldb.Database {
 	t.Helper()
 	db := sqldb.NewDatabase()
-	if _, err := sqlexec.Exec(db, `CREATE TABLE eu_registry (landfill TEXT, country TEXT, tons DOUBLE)`); err != nil {
+	if _, err := sqlexec.Exec(db, `CREATE TABLE eu_registry (landfill TEXT, country TEXT, tons DOUBLE)`, sqlexec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("eu_registry")
@@ -179,11 +179,11 @@ func TestCompiledPushdownToRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `SELECT landfill, country FROM eu_registry WHERE landfill = 'lf003'`
-	pushed, err := local.QueryOpts(q, sqlexec.Options{})
+	pushed, err := sqlexec.Exec(local.Catalog(), q, sqlexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched, err := local.QueryOpts(q, sqlexec.Options{DisableIndexSeek: true})
+	fetched, err := sqlexec.Exec(local.Catalog(), q, sqlexec.Options{DisableIndexSeek: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCompiledPushdownToRemote(t *testing.T) {
 
 func TestAttachImportsAllTables(t *testing.T) {
 	remote := newRemote(t, 5)
-	if _, err := sqlexec.Exec(remote, `CREATE TABLE other (x INT)`); err != nil {
+	if _, err := sqlexec.Exec(remote, `CREATE TABLE other (x INT)`, sqlexec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	c := pipePair(t, remote)

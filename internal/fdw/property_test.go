@@ -20,7 +20,7 @@ func TestRemoteEqualsLocalOnRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		remote := sqldb.NewDatabase()
-		if _, err := sqlexec.Exec(remote, `CREATE TABLE t (k TEXT, n INT, f DOUBLE, b BOOLEAN)`); err != nil {
+		if _, err := sqlexec.Exec(remote, `CREATE TABLE t (k TEXT, n INT, f DOUBLE, b BOOLEAN)`, sqlexec.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		tab, _ := remote.Table("t")

@@ -562,10 +562,9 @@ func (p *Platform) Explore(filter func(*Statement) bool) []*Statement {
 
 // View returns the user's personal knowledge base: the graph of triples
 // she owns or has imported, as an overlay over the platform's shared
-// arena. This is the context SESQL queries run in; it implements both
-// rdf.Graph and rdf.IDGraph, so the streaming SPARQL executor evaluates
-// it ID-natively.
-func (p *Platform) View(user string) (rdf.Graph, error) {
+// arena. This is the context SESQL queries run in; the streaming SPARQL
+// executor evaluates it ID-natively.
+func (p *Platform) View(user string) (rdf.IDGraph, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	v, ok := p.views[user]

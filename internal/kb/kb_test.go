@@ -69,7 +69,7 @@ func TestViewIsQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sparql.Eval(g, `PREFIX smg: <`+SMG+`> SELECT ?x WHERE { ?x smg:isA smg:HazardousWaste }`)
+	r, err := sparql.EvalOpts(g, `PREFIX smg: <`+SMG+`> SELECT ?x WHERE { ?x smg:isA smg:HazardousWaste }`, sparql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,11 @@ func comparePlatforms(t *testing.T, want, restored *Platform) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wres, err := sparql.Eval(wv, allTriplesQuery)
+		wres, err := sparql.EvalOpts(wv, allTriplesQuery, sparql.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rres, err := sparql.Eval(rv, allTriplesQuery)
+		rres, err := sparql.EvalOpts(rv, allTriplesQuery, sparql.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,8 +179,6 @@ func (s *SharedStore) IDOf(t Term) (TermID, bool) {
 // locking; the enclosing ReadIDs holds the arena read lock.
 type sharedReader struct{ s *SharedStore }
 
-func (sharedReader) ConcurrentIDReads() {}
-
 func (r sharedReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.s.matchIDs(p, fn)
 }
@@ -454,8 +452,6 @@ func (v *View) IDOf(t Term) (TermID, bool) { return v.shared.IDOf(t) }
 // viewReader implements IDReader over the overlay without per-call locking;
 // the enclosing ReadIDs holds the view and arena read locks.
 type viewReader struct{ v *View }
-
-func (viewReader) ConcurrentIDReads() {}
 
 func (r viewReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.v.matchIDsLocked(p, fn)

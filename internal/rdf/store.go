@@ -434,7 +434,9 @@ func (s *Store) IDOf(t Term) (TermID, bool) {
 // matching, O(1) pattern counting and term↔ID translation over the store's
 // dictionary-encoded indexes, valid for the duration of one read
 // transaction. Implementations are NOT safe to retain after the ReadIDs
-// callback returns.
+// callback returns. Within the callback every method is a pure read under
+// the transaction's lock, so one reader may serve several goroutines at
+// once (the SPARQL executor's parallel path shares it with its workers).
 type IDReader interface {
 	// ForEachIDs streams encoded triples matching the pattern; fn returning
 	// false stops early.
@@ -447,24 +449,9 @@ type IDReader interface {
 	IDOf(t Term) (TermID, bool)
 }
 
-// ConcurrentReader marks IDReader implementations that are safe for
-// concurrent use from multiple goroutines within one ReadIDs transaction:
-// every method is a pure read, and the transaction's read lock blocks all
-// writers for the reader's whole lifetime. The store-backed readers
-// (private store, shared arena, overlay view) all qualify; adapters that
-// intern terms on the fly do not. The SPARQL executor's parallel path
-// requires this capability.
-type ConcurrentReader interface {
-	IDReader
-	// ConcurrentIDReads is a marker; it does nothing.
-	ConcurrentIDReads()
-}
-
 // storeReader implements IDReader without per-call locking; the enclosing
 // ReadIDs holds the store's read lock for the reader's whole lifetime.
 type storeReader struct{ s *Store }
-
-func (storeReader) ConcurrentIDReads() {}
 
 func (r storeReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.s.matchIDs(p, fn)

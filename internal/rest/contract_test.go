@@ -1,7 +1,7 @@
 package rest
 
 // Contract tests for the v1 surface: the uniform error envelope, typed
-// status mapping, pagination fields, legacy-alias deprecation headers,
+// status mapping, pagination fields, the retired unversioned aliases,
 // and the serving-tier metrics endpoint. These are the assertions the CI
 // api-contract job re-checks against a real server binary.
 
@@ -292,37 +292,22 @@ func TestV1PaginationContract(t *testing.T) {
 	page("/api/v1/users?limit=bogus&offset=-3", "users", 5, 5, defaultPageLimit, 0)
 }
 
-func TestLegacyAliasDeprecation(t *testing.T) {
+// TestLegacyAliasesRetired pins that the unversioned /api/... aliases are
+// gone: only the /api/v1 surface answers.
+func TestLegacyAliasesRetired(t *testing.T) {
 	ts, _ := newV1Server(t, 0, 0)
 	resp, err := http.Get(ts.URL + "/api/users")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/users") {
-		t.Errorf("legacy alias Link = %q, want successor /api/v1/users", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("v1 path must not carry a Deprecation header")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /api/users: %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newV1Server(t, 4, 2)
-	// Generate traffic on both the v1 path and the legacy alias: both must
-	// be attributed to the one v1 endpoint label.
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/api/v1/users")
 		if err != nil {
@@ -330,17 +315,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/api/users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
+	resp := postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
 	resp.Body.Close()
 	resp = postJSON(t, ts.URL+"/api/v1/query", `{"user":"alice","sesql":"SELECT 1"}`)
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/api/v1/metrics")
+	resp, err := http.Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +348,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	list := out.Endpoints["GET /api/v1/users"]
-	if list.Requests != 3 {
-		t.Errorf("GET /api/v1/users requests = %d, want 3 (v1 + legacy alias)", list.Requests)
+	if list.Requests != 2 {
+		t.Errorf("GET /api/v1/users requests = %d, want 2", list.Requests)
 	}
-	if list.Status["2xx"] != 3 || list.Latency.Count != 3 {
+	if list.Status["2xx"] != 2 || list.Latency.Count != 2 {
 		t.Errorf("endpoint stats = %+v", list)
-	}
-	if _, ok := out.Endpoints["GET /api/users"]; ok {
-		t.Error("legacy alias must not appear as its own endpoint label")
 	}
 	q := out.Endpoints["POST /api/v1/query"]
 	if q.Requests != 1 || q.Latency.P50US <= 0 {

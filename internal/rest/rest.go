@@ -7,8 +7,8 @@
 // The public surface is versioned under /api/v1/... and wrapped by the
 // serving tier (internal/serve): per-endpoint request metrics, an
 // epoch-keyed enriched-result cache, and admission control on the query
-// endpoints. Legacy unversioned /api/... paths remain as deprecated thin
-// aliases for one release; see docs/API.md for the contract.
+// endpoints; see docs/API.md for the contract. The unversioned /api/...
+// aliases of an earlier release are retired and answer 404.
 package rest
 
 import (
@@ -16,11 +16,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"crosse/internal/core"
@@ -60,18 +58,13 @@ type Server struct {
 	// limiter, when set, admission-controls the query-execution endpoints.
 	// Nil admits everything.
 	limiter *serve.Limiter
-
-	// deprecatedOnce dedups the once-per-path deprecation log line.
-	deprecatedOnce sync.Map
-	// logf receives operational notices; log.Printf unless SetLogf.
-	logf func(format string, args ...any)
 }
 
 // NewServer wraps an Enricher (which carries the databank, the semantic
 // platform and the resource mapping). Mutations apply directly to the
 // platform until SetJournal routes them through a write-ahead log.
 func NewServer(e *core.Enricher) *Server {
-	return &Server{enricher: e, mutator: e.Platform, metrics: serve.NewMetrics(), logf: log.Printf}
+	return &Server{enricher: e, mutator: e.Platform, metrics: serve.NewMetrics()}
 }
 
 // SetJournal routes every platform mutation through the journal's logged
@@ -99,72 +92,52 @@ func (s *Server) SetResultCache(c *serve.Cache) { s.cache = c }
 // query-execution endpoints. Nil (the default) admits everything.
 func (s *Server) SetAdmission(l *serve.Limiter) { s.limiter = l }
 
-// SetLogf redirects the server's operational notices (deprecation
-// warnings). nil silences them.
-func (s *Server) SetLogf(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
-}
+// SetLogf would redirect the server's operational notices. The server
+// emits none, so f is unused; the method stays for callers that set it.
+func (s *Server) SetLogf(f func(format string, args ...any)) {}
 
-// Handler returns the API routes: the v1 surface plus legacy /api/...
-// aliases (deprecated, kept for one release).
+// Handler returns the API routes: the v1 surface and the liveness probe.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// route mounts a handler at its v1 path and at the legacy unversioned
-	// alias. Both share one metrics label (the v1 pattern) so traffic is
-	// attributed to the endpoint, not to which alias the client used.
-	route := func(method, v1Path string, h http.HandlerFunc) {
-		name := method + " " + v1Path
-		mux.HandleFunc(name, s.instrument(name, "", h))
-		legacy := "/api/" + strings.TrimPrefix(v1Path, "/api/v1/")
-		mux.HandleFunc(method+" "+legacy, s.instrument(name, v1Path, h))
+	// route mounts a handler under its pattern, which is also its metrics
+	// label.
+	route := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 
-	route("GET", "/api/v1/users", s.listUsers)
-	route("POST", "/api/v1/users", s.createUser)
-	route("GET", "/api/v1/statements", s.listStatements)
-	route("POST", "/api/v1/statements", s.createStatement)
-	route("POST", "/api/v1/statements/{id}/import", s.importStatement)
-	route("DELETE", "/api/v1/statements/{id}", s.retractStatement)
-	route("GET", "/api/v1/queries", s.listQueries)
-	route("POST", "/api/v1/queries", s.registerQuery)
-	route("POST", "/api/v1/query", s.admit(s.sesqlQuery))
-	route("POST", "/api/v1/sparql", s.admit(s.sparqlQuery))
-	route("GET", "/api/v1/tables", s.listTables)
-	route("GET", "/api/v1/peers", s.listPeers)
-	route("GET", "/api/v1/recommendations", s.listRecommendations)
-	route("GET", "/api/v1/snippet", s.snippet)
-	route("GET", "/api/v1/vocabulary", s.vocabulary)
-	route("POST", "/api/v1/vocabulary", s.declare)
-	route("GET", "/api/v1/kb.dot", s.kbDOT)
-	route("GET", "/api/v1/admin/snapshot", s.downloadSnapshot)
-	route("POST", "/api/v1/admin/snapshot", s.saveSnapshot)
-	route("GET", "/api/v1/admin/wal", s.walStatus)
-	route("POST", "/api/v1/admin/compact", s.compact)
-	route("GET", "/api/v1/admin/sources", s.listSources)
+	route("GET /api/v1/users", s.listUsers)
+	route("POST /api/v1/users", s.createUser)
+	route("GET /api/v1/statements", s.listStatements)
+	route("POST /api/v1/statements", s.createStatement)
+	route("POST /api/v1/statements/{id}/import", s.importStatement)
+	route("DELETE /api/v1/statements/{id}", s.retractStatement)
+	route("GET /api/v1/queries", s.listQueries)
+	route("POST /api/v1/queries", s.registerQuery)
+	route("POST /api/v1/query", s.admit(s.sesqlQuery))
+	route("POST /api/v1/sparql", s.admit(s.sparqlQuery))
+	route("GET /api/v1/tables", s.listTables)
+	route("GET /api/v1/peers", s.listPeers)
+	route("GET /api/v1/recommendations", s.listRecommendations)
+	route("GET /api/v1/snippet", s.snippet)
+	route("GET /api/v1/vocabulary", s.vocabulary)
+	route("POST /api/v1/vocabulary", s.declare)
+	route("GET /api/v1/kb.dot", s.kbDOT)
+	route("GET /api/v1/admin/snapshot", s.downloadSnapshot)
+	route("POST /api/v1/admin/snapshot", s.saveSnapshot)
+	route("GET /api/v1/admin/wal", s.walStatus)
+	route("POST /api/v1/admin/compact", s.compact)
+	route("GET /api/v1/admin/sources", s.listSources)
 
-	// v1-only: the serving-tier metrics snapshot.
-	mux.HandleFunc("GET /api/v1/metrics", s.instrument("GET /api/v1/metrics", "", s.metricsSnapshot))
+	// The serving-tier metrics snapshot.
+	route("GET /api/v1/metrics", s.metricsSnapshot)
 	// The liveness probe predates the versioned surface and stays put.
-	mux.HandleFunc("GET /healthz", s.instrument("GET /healthz", "", s.healthz))
+	route("GET /healthz", s.healthz)
 	return mux
 }
 
-// instrument wraps a handler with request metrics. successor, when
-// non-empty, marks the mount as a deprecated legacy alias of that v1
-// path: responses carry a Deprecation header and the first hit per path
-// logs a migration notice.
-func (s *Server) instrument(name, successor string, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with request metrics under the label name.
+func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-			if _, logged := s.deprecatedOnce.LoadOrStore(r.URL.Path, true); !logged {
-				s.logf("rest: deprecated path %s served (migrate to %s)", r.URL.Path, successor)
-			}
-		}
 		done := s.metrics.Begin(name)
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() { done(sw.status) }()
@@ -620,7 +593,7 @@ const sparqlCheckEvery = 256
 // its wire row. It also returns the result's size for the cache's byte
 // budget. When ctx ends, evaluation stops early, which releases the view's
 // read lock, and the error is ctx's.
-func (s *Server) evalSPARQL(ctx context.Context, view rdf.Graph, text string) (sparqlResultJSON, int64, error) {
+func (s *Server) evalSPARQL(ctx context.Context, view rdf.IDGraph, text string) (sparqlResultJSON, int64, error) {
 	t0 := time.Now()
 	plan, err := s.enricher.PlanSPARQL(text)
 	if err != nil {

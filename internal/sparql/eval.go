@@ -1,10 +1,10 @@
 package sparql
 
 // eval.go — the public result model and the term-level helpers shared by
-// the compiled executor (exec.go). Evaluation itself is ID-native: Eval and
-// EvalQuery compile the query into a Plan (plan.go) and run it as a
+// the compiled executor (exec.go). Evaluation itself is ID-native:
+// EvalOpts compiles the query into a Plan (plan.go) and runs it as a
 // streaming pipeline over dictionary-ID rows; the map-based Binding form
-// below is materialised only at projection, for API compatibility.
+// below is materialised only at projection, for EvalOpts callers.
 
 import (
 	"fmt"

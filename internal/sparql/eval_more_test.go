@@ -11,8 +11,8 @@ import (
 func TestOptionalClosureAndNestedGroups(t *testing.T) {
 	st := sampleStore()
 	// p? optional step: zero or one hop.
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?c WHERE { s:HazardousWaste s:subClassOf? ?c }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?c WHERE { s:HazardousWaste s:subClassOf? ?c }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ SELECT ?c WHERE { s:HazardousWaste s:subClassOf? ?c }`)
 func TestPathSeqWithClosure(t *testing.T) {
 	st := sampleStore()
 	// isA then any number of subClassOf.
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?c WHERE { s:Mercury s:isA/s:subClassOf* ?c }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?c WHERE { s:Mercury s:isA/s:subClassOf* ?c }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestClosureBothSidesUnbound(t *testing.T) {
 	next := iri("next")
 	st.Add(rdf.Triple{S: a, P: next, O: b})
 	st.Add(rdf.Triple{S: b, P: next, O: c})
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?x ?y WHERE { ?x s:next+ ?y }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT ?x ?y WHERE { ?x s:next+ ?y }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestClosureBothSidesUnbound(t *testing.T) {
 
 func TestFilterStringFunctionsDeep(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA s:HazardousWaste . FILTER (ISIRI(?x) && STR(?x) != "") }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA s:HazardousWaste . FILTER (ISIRI(?x) && STR(?x) != "") }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ SELECT ?x WHERE { ?x s:isA s:HazardousWaste . FILTER (ISIRI(?x) && STR(?x) != ""
 		t.Errorf("isiri+str: %d", len(r.Bindings))
 	}
 	// ISLITERAL on an IRI is false.
-	r2, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA s:HazardousWaste . FILTER ISLITERAL(?x) }`)
+	r2, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA s:HazardousWaste . FILTER ISLITERAL(?x) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestBadConstantRegexIsCompileError(t *testing.T) {
 	// Constant regex patterns are precompiled into the plan, so an invalid
 	// one is rejected before evaluation instead of silently dropping every
 	// solution per-row.
-	if _, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA ?c . FILTER REGEX(STR(?x), "[unclosed") }`); err == nil {
+	if _, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA ?c . FILTER REGEX(STR(?x), "[unclosed") }`, Options{}); err == nil {
 		t.Fatal("invalid constant REGEX pattern must fail at compile time")
 	}
 	q, err := Parse(`PREFIX s: <` + onto + `>
@@ -99,8 +99,8 @@ func TestBadDynamicRegexDropsSolutions(t *testing.T) {
 	// A pattern computed per solution can only fail at evaluation time;
 	// there the original semantics hold: filter errors drop the solution,
 	// they never fail the query.
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER REGEX(STR(?x), STR(?d)) }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER REGEX(STR(?x), STR(?d)) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestFilterArityErrors(t *testing.T) {
 	st := sampleStore()
 	// Arity errors are evaluation errors → solutions dropped, not parse
 	// errors (BOUND arity is checked at eval time).
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA ?c . FILTER BOUND(?x, ?c) }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA ?c . FILTER BOUND(?x, ?c) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ SELECT ?x WHERE { ?x s:isA ?c . FILTER BOUND(?x, ?c) }`)
 
 func TestOrderByUnboundSortsFirst(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x ?d WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } } ORDER BY ?d`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x ?d WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } } ORDER BY ?d`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ SELECT ?x ?d WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } } ORDER BY ?
 func TestUnionWithSharedVariableConstraint(t *testing.T) {
 	st := sampleStore()
 	// The variable bound before the UNION constrains both branches.
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:dangerLevel "high" . { ?x s:isA s:HazardousWaste } UNION { ?x s:foundWith ?y } }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:dangerLevel "high" . { ?x s:isA s:HazardousWaste } UNION { ?x s:foundWith ?y } }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestNumericComparisonAcrossIntAndDouble(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add(rdf.Triple{S: iri("x"), P: iri("v"), O: rdf.NewTypedLiteral("5", rdf.XSDInteger)})
 	st.Add(rdf.Triple{S: iri("y"), P: iri("v"), O: rdf.NewTypedLiteral("5.5", rdf.XSDDouble)})
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?a WHERE { ?a s:v ?n . FILTER (?n > 5.2) }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT ?a WHERE { ?a s:v ?n . FILTER (?n > 5.2) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +166,16 @@ func TestNumericComparisonAcrossIntAndDouble(t *testing.T) {
 
 func TestBooleanLiteralsInFilters(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA s:PreciousMetal . FILTER (true) }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA s:PreciousMetal . FILTER (true) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Bindings) != 1 {
 		t.Errorf("FILTER(true): %d", len(r.Bindings))
 	}
-	r, err = Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?x WHERE { ?x s:isA s:PreciousMetal . FILTER (false || !false) }`)
+	r, err = EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?x WHERE { ?x s:isA s:PreciousMetal . FILTER (false || !false) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ SELECT ?x WHERE { ?x s:isA s:PreciousMetal . FILTER (false || !false) }`)
 
 func TestAskNoMatchAndEmptyGroup(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `ASK { }`)
+	r, err := EvalOpts(st, `ASK { }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ SELECT DISTINCT ?x WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } FILTER
 func TestVariablePredicateBoundByEarlierPattern(t *testing.T) {
 	st := sampleStore()
 	// ?p gets bound by the first pattern, constrains the second.
-	r, err := Eval(st, `PREFIX s: <`+onto+`>
-SELECT ?p WHERE { s:Mercury ?p s:Lead . s:Lead ?p s:Zinc }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`>
+SELECT ?p WHERE { s:Mercury ?p s:Lead . s:Lead ?p s:Zinc }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

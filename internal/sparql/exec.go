@@ -9,11 +9,8 @@ package sparql
 // only at projection. Early termination (ASK, LIMIT without ORDER BY)
 // propagates as a stop signal back up the pipeline.
 //
-// Against *rdf.Store (and every KB view) the whole query runs under a
-// single Store.ReadIDs read transaction, so no per-probe locking happens on
-// the join path. Other rdf.Graph implementations fall back to an adapter
-// that interns terms into a private dictionary on the fly; such graphs must
-// tolerate nested ForEach calls.
+// The whole query runs under a single rdf.IDGraph.ReadIDs read
+// transaction, so no per-probe locking happens on the join path.
 
 import (
 	"fmt"
@@ -24,28 +21,14 @@ import (
 	"crosse/internal/rdf"
 )
 
-// Eval parses, compiles and evaluates src against g.
-func Eval(g rdf.Graph, src string) (*Result, error) {
-	return EvalOpts(g, src, Options{})
-}
-
-// EvalOpts is Eval with evaluation options.
-func EvalOpts(g rdf.Graph, src string, o Options) (*Result, error) {
+// EvalOpts parses, compiles and evaluates src against g, materialising
+// the solutions as Binding maps. Callers that re-evaluate the same query
+// should Compile once and use Plan.EvalOpts or Plan.StreamInfoOpts.
+func EvalOpts(g rdf.IDGraph, src string, o Options) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return EvalQueryOpts(g, q, o)
-}
-
-// EvalQuery compiles and evaluates a parsed query against g. Callers that
-// re-evaluate the same query should Compile once and use Plan.Eval.
-func EvalQuery(g rdf.Graph, q *Query) (*Result, error) {
-	return EvalQueryOpts(g, q, Options{})
-}
-
-// EvalQueryOpts is EvalQuery with evaluation options.
-func EvalQueryOpts(g rdf.Graph, q *Query, o Options) (*Result, error) {
 	p, err := Compile(q)
 	if err != nil {
 		return nil, err
@@ -53,23 +36,14 @@ func EvalQueryOpts(g rdf.Graph, q *Query, o Options) (*Result, error) {
 	return p.EvalOpts(g, o)
 }
 
-// Eval evaluates the compiled plan against g.
-func (p *Plan) Eval(g rdf.Graph) (*Result, error) {
-	return p.EvalOpts(g, Options{})
-}
-
 // EvalOpts evaluates the compiled plan against g with options.
-func (p *Plan) EvalOpts(g rdf.Graph, o Options) (*Result, error) {
+func (p *Plan) EvalOpts(g rdf.IDGraph, o Options) (*Result, error) {
 	var res *Result
-	if ig, ok := g.(rdf.IDGraph); ok {
-		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, nil) })
-	} else {
-		res = p.run(newGraphAdapter(g), o, nil)
-	}
+	g.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, nil) })
 	return res, nil
 }
 
-// Solution is one projected solution surfaced by Plan.Stream. It is valid
+// Solution is one projected solution surfaced by Plan.StreamInfoOpts. It is valid
 // only inside the streaming callback; the terms it decodes are plain values
 // and safe to retain.
 type Solution struct {
@@ -100,20 +74,6 @@ func (s Solution) Var(name string) (rdf.Term, bool) {
 	return s.Term(i)
 }
 
-// Stream evaluates a SELECT plan and pushes each solution to fn without
-// materialising Binding maps — the allocation-free path internal/core's
-// enrichment pipeline consumes. DISTINCT, ORDER BY, OFFSET and LIMIT are
-// honoured exactly as in Eval; fn returning false stops evaluation early.
-func (p *Plan) Stream(g rdf.Graph, fn func(Solution) bool) error {
-	return p.StreamOpts(g, Options{}, fn)
-}
-
-// StreamOpts is Stream with evaluation options.
-func (p *Plan) StreamOpts(g rdf.Graph, o Options, fn func(Solution) bool) error {
-	_, err := p.StreamInfoOpts(g, o, fn)
-	return err
-}
-
 // StreamInfo reports per-evaluation facts of a streaming run that are not
 // part of the solution stream itself.
 type StreamInfo struct {
@@ -123,22 +83,19 @@ type StreamInfo struct {
 	ParallelFallback string
 }
 
-// StreamInfoOpts is StreamOpts returning evaluation metadata alongside the
-// stream.
-func (p *Plan) StreamInfoOpts(g rdf.Graph, o Options, fn func(Solution) bool) (StreamInfo, error) {
+// StreamInfoOpts evaluates a SELECT plan and pushes each solution to fn
+// without materialising Binding maps — the allocation-free path
+// internal/core's enrichment pipeline consumes. DISTINCT, ORDER BY, OFFSET
+// and LIMIT are honoured exactly as in EvalOpts; fn returning false stops
+// evaluation early. It returns the run's metadata alongside the stream.
+func (p *Plan) StreamInfoOpts(g rdf.IDGraph, o Options, fn func(Solution) bool) (StreamInfo, error) {
 	if p.q.Form == Ask {
 		return StreamInfo{}, fmt.Errorf("sparql: Stream requires a SELECT query")
 	}
 	var res *Result
-	if ig, ok := g.(rdf.IDGraph); ok {
-		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
-	} else {
-		res = p.run(newGraphAdapter(g), o, fn)
-	}
+	g.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
 	return StreamInfo{ParallelFallback: res.ParallelFallback}, nil
 }
-
-// --- executor state ---
 
 type exec struct {
 	p    *Plan
@@ -1129,67 +1086,3 @@ func (w *closureWalk) reach(start rdf.TermID, emit func(rdf.TermID)) {
 		w.frontier, w.next = w.next, w.frontier
 	}
 }
-
-// --- fallback adapter for plain rdf.Graph implementations ---
-
-// graphAdapter lets the ID-native executor run against any rdf.Graph by
-// interning the terms it streams into a private dictionary. It exists for
-// API completeness — every graph the system evaluates against (*rdf.Store
-// and the KB views) implements rdf.IDGraph and takes the native path. The
-// underlying graph must tolerate nested ForEach calls.
-type graphAdapter struct {
-	g    rdf.Graph
-	dict *rdf.Dict
-}
-
-func newGraphAdapter(g rdf.Graph) *graphAdapter {
-	return &graphAdapter{g: g, dict: rdf.NewDict()}
-}
-
-func (a *graphAdapter) decode(p rdf.PatternIDs) (rdf.Pattern, bool) {
-	var pat rdf.Pattern
-	if p.S != 0 {
-		t, ok := a.dict.TermOf(p.S)
-		if !ok {
-			return pat, false
-		}
-		pat.S = t
-	}
-	if p.P != 0 {
-		t, ok := a.dict.TermOf(p.P)
-		if !ok {
-			return pat, false
-		}
-		pat.P = t
-	}
-	if p.O != 0 {
-		t, ok := a.dict.TermOf(p.O)
-		if !ok {
-			return pat, false
-		}
-		pat.O = t
-	}
-	return pat, true
-}
-
-func (a *graphAdapter) ForEachIDs(p rdf.PatternIDs, fn func(s, pr, o rdf.TermID) bool) {
-	pat, ok := a.decode(p)
-	if !ok {
-		return
-	}
-	a.g.ForEach(pat, func(t rdf.Triple) bool {
-		return fn(a.dict.Encode(t.S), a.dict.Encode(t.P), a.dict.Encode(t.O))
-	})
-}
-
-func (a *graphAdapter) CountIDs(p rdf.PatternIDs) int {
-	pat, ok := a.decode(p)
-	if !ok {
-		return 0
-	}
-	return a.g.Count(pat)
-}
-
-func (a *graphAdapter) TermOf(id rdf.TermID) (rdf.Term, bool) { return a.dict.TermOf(id) }
-
-func (a *graphAdapter) IDOf(t rdf.Term) (rdf.TermID, bool) { return a.dict.Encode(t), true }

@@ -21,9 +21,9 @@ package sparql
 // comparator) merged by a loser tree, with ties resolving to the earlier
 // morsel, so the merged sequence is exactly the serial stable sort.
 //
-// The path requires an rdf.ConcurrentReader — a reader whose methods are
-// pure reads under the transaction lock. Graphs that fall back to the
-// interning adapter, ASK queries (first match wins; nothing to fan out),
+// Workers share the coordinator's rdf.IDReader: every reader the
+// rdf.IDGraph implementations hand out is a pure read under the
+// transaction's lock. ASK queries (first match wins; nothing to fan out),
 // a lone property path with nothing downstream, and small posting lists
 // stay serial; every decline records its reason in
 // exec.fallback, surfaced as Result.ParallelFallback / StreamInfo.
@@ -68,10 +68,6 @@ func (e *exec) tryParallel() (*Result, bool) {
 		// The coordinator computes the whole answer while materialising
 		// the head; workers would only copy its pairs.
 		e.fallback = "lone property path: nothing downstream to fan out"
-		return nil, false
-	}
-	if _, ok := e.r.(rdf.ConcurrentReader); !ok {
-		e.fallback = "graph reader is not concurrency-safe"
 		return nil, false
 	}
 

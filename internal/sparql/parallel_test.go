@@ -76,13 +76,13 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated unparseable query %q: %v", text, err)
 		}
-		base, err := EvalQueryOpts(st, qu, Options{Parallelism: 1})
+		base, err := evalQuery(st, qu, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%q serial: %v", text, err)
 		}
 		want := renderSeq(base.Bindings, base.Vars)
 		for _, par := range []int{2, 4} {
-			got, err := EvalQueryOpts(st, qu, Options{Parallelism: par})
+			got, err := evalQuery(st, qu, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", text, par, err)
 			}
@@ -139,7 +139,7 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := EvalQueryOpts(st, qu, Options{Parallelism: 1})
+		base, err := evalQuery(st, qu, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%q serial: %v", tc.text, err)
 		}
@@ -154,7 +154,7 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 			sort.Strings(want)
 		}
 		for _, par := range []int{2, 4} {
-			got, err := EvalQueryOpts(st, qu, Options{Parallelism: par})
+			got, err := evalQuery(st, qu, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", tc.text, par, err)
 			}
@@ -225,7 +225,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalQueryOpts(st, qu, Options{Parallelism: 4})
+	res, err := evalQuery(st, qu, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 	}
 }
 
-// TestParallelStreamLimit pins the streaming path: StreamOpts at higher
+// TestParallelStreamLimit pins the streaming path: StreamInfoOpts at higher
 // parallelism honours LIMIT/OFFSET and early consumer stops exactly like
 // the serial stream.
 func TestParallelStreamLimit(t *testing.T) {
@@ -295,7 +295,7 @@ func TestParallelStreamLimit(t *testing.T) {
 		}
 		for _, par := range []int{1, 2, 4} {
 			n := 0
-			if err := pl.StreamOpts(st, Options{Parallelism: par}, func(Solution) bool {
+			if _, err := pl.StreamInfoOpts(st, Options{Parallelism: par}, func(Solution) bool {
 				n++
 				return true
 			}); err != nil {
@@ -310,7 +310,7 @@ func TestParallelStreamLimit(t *testing.T) {
 			}
 			// Early stop after 3 solutions.
 			n = 0
-			if err := pl.StreamOpts(st, Options{Parallelism: par}, func(Solution) bool {
+			if _, err := pl.StreamInfoOpts(st, Options{Parallelism: par}, func(Solution) bool {
 				n++
 				return n < 3
 			}); err != nil {

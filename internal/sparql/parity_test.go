@@ -21,6 +21,16 @@ import (
 	"crosse/internal/rdf"
 )
 
+// evalQuery compiles a parsed query and evaluates it through the
+// production plan path (Plan.EvalOpts).
+func evalQuery(g rdf.IDGraph, q *Query, o Options) (*Result, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalOpts(g, o)
+}
+
 // --- reference evaluator (port of the seed engine) ---
 
 func refEvalQuery(g rdf.Graph, q *Query) (*Result, error) {
@@ -637,7 +647,7 @@ func TestExecutorParityWithSeedSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range parityEvalOptions {
-				got, err := EvalQueryOpts(st, q, opts)
+				got, err := evalQuery(st, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -709,7 +719,7 @@ func TestExecutorParityUnknownConstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvalQuery(st, q)
+		got, err := evalQuery(st, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -833,7 +843,7 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 
 		want := renderBindings(naiveBGPJoin(st, patterns), vars)
 		for _, opts := range []Options{{}, {DisableReorder: true}, {Parallelism: 2}, {Parallelism: 4}} {
-			res, err := EvalQueryOpts(st, q, opts)
+			res, err := evalQuery(st, q, opts)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -886,7 +896,7 @@ var closureParityShapes = []string{
 // checkClosureParity runs every unbound-closure shape over g at
 // Parallelism 1, 2 and 4 and compares the executor's solution multiset
 // with the term-level reference evaluator's.
-func checkClosureParity(t *testing.T, g rdf.Graph) {
+func checkClosureParity(t *testing.T, g rdf.IDGraph) {
 	t.Helper()
 	pre := `PREFIX s: <` + onto + `> `
 	for _, src := range closureParityShapes {
@@ -900,7 +910,7 @@ func checkClosureParity(t *testing.T, g rdf.Graph) {
 		}
 		w := renderBindings(want.Bindings, want.Vars)
 		for _, par := range []int{1, 2, 4} {
-			got, err := EvalQueryOpts(g, q, Options{Parallelism: par})
+			got, err := evalQuery(g, q, Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}

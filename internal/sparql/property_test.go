@@ -99,7 +99,7 @@ func TestBGPJoinEqualsNaive(t *testing.T) {
 			Where: &Group{Elems: []Element{p1, p2}},
 		}
 		for _, disable := range []bool{false, true} {
-			res, err := EvalQueryOpts(st, q, Options{DisableReorder: disable})
+			res, err := evalQuery(st, q, Options{DisableReorder: disable})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -125,11 +125,11 @@ func TestSolutionModifierProperties(t *testing.T) {
 				O: rdf.NewIRI(fmt.Sprintf("%so%d", ns, rng.Intn(4))),
 			})
 		}
-		all, err := Eval(st, `SELECT ?o WHERE { ?s <`+ns+`p> ?o }`)
+		all, err := EvalOpts(st, `SELECT ?o WHERE { ?s <`+ns+`p> ?o }`, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		distinct, err := Eval(st, `SELECT DISTINCT ?o WHERE { ?s <`+ns+`p> ?o }`)
+		distinct, err := EvalOpts(st, `SELECT DISTINCT ?o WHERE { ?s <`+ns+`p> ?o }`, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestSolutionModifierProperties(t *testing.T) {
 			t.Fatalf("trial %d: distinct %d > all %d", trial, len(distinct.Bindings), len(all.Bindings))
 		}
 		k := 1 + rng.Intn(5)
-		limited, err := Eval(st, fmt.Sprintf(`SELECT ?o WHERE { ?s <`+ns+`p> ?o } LIMIT %d`, k))
+		limited, err := EvalOpts(st, fmt.Sprintf(`SELECT ?o WHERE { ?s <`+ns+`p> ?o } LIMIT %d`, k), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +163,11 @@ func TestInversePathConverse(t *testing.T) {
 			O: rdf.NewIRI(fmt.Sprintf("%so%d", ns, rng.Intn(6))),
 		})
 	}
-	fwd, err := Eval(st, `SELECT ?a ?b WHERE { ?a <`+ns+`p> ?b }`)
+	fwd, err := EvalOpts(st, `SELECT ?a ?b WHERE { ?a <`+ns+`p> ?b }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := Eval(st, `SELECT ?a ?b WHERE { ?b ^<`+ns+`p> ?a }`)
+	inv, err := EvalOpts(st, `SELECT ?a ?b WHERE { ?b ^<`+ns+`p> ?a }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

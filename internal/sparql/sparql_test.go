@@ -52,7 +52,7 @@ func bindingsOf(t *testing.T, r *Result, v string) []string {
 
 func TestBasicSelect(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `SELECT ?x WHERE { ?x <`+onto+`isA> <`+onto+`HazardousWaste> }`)
+	r, err := EvalOpts(st, `SELECT ?x WHERE { ?x <`+onto+`isA> <`+onto+`HazardousWaste> }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBasicSelect(t *testing.T) {
 
 func TestPrefixedNames(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { ?x s:isA s:PreciousMetal }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { ?x s:isA s:PreciousMetal }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPrefixedNames(t *testing.T) {
 func TestBuiltinSmgPrefix(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add(rdf.Triple{S: rdf.NewIRI(onto + "a"), P: rdf.NewIRI(onto + "p"), O: rdf.NewIRI(onto + "b")})
-	r, err := Eval(st, `SELECT ?x WHERE { smg:a smg:p ?x }`)
+	r, err := EvalOpts(st, `SELECT ?x WHERE { smg:a smg:p ?x }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBGPJoin(t *testing.T) {
 	// Elements that are hazardous AND have dangerLevel high.
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:isA s:HazardousWaste . ?x s:dangerLevel "high" }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ SELECT ?x WHERE { ?x s:isA s:HazardousWaste . ?x s:dangerLevel "high" }`
 
 func TestSelectStar(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT * WHERE { ?s s:foundWith ?o }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT * WHERE { ?s s:foundWith ?o }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFilterComparison(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:weight ?w . FILTER (?w > 200) }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFilterLogicAndRegex(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER (?d = "high" && REGEX(STR(?x), "Merc")) }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER (?d = "high" && REGEX(STR(?x), "M
 	// Case-insensitive flag.
 	q2 := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:dangerLevel "low" . FILTER REGEX(STR(?x), "gold", "i") }`
-	r2, err := Eval(st, q2)
+	r2, err := EvalOpts(st, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFilterNotAndNe(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER (!(?d = "high")) }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestOptional(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x ?d WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestUnion(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { { ?x s:isA s:PreciousMetal } UNION { ?x s:dangerLevel "high" } }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestDistinctOrderLimitOffset(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT DISTINCT ?d WHERE { ?x s:dangerLevel ?d } ORDER BY ?d`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ SELECT DISTINCT ?d WHERE { ?x s:dangerLevel ?d } ORDER BY ?d`
 
 	q2 := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:weight ?w } ORDER BY DESC(?w) LIMIT 1`
-	r2, err := Eval(st, q2)
+	r2, err := EvalOpts(st, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ SELECT ?x WHERE { ?x s:weight ?w } ORDER BY DESC(?w) LIMIT 1`
 
 	q3 := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:weight ?w } ORDER BY ASC(?w) OFFSET 1 LIMIT 1`
-	r3, err := Eval(st, q3)
+	r3, err := EvalOpts(st, q3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +245,14 @@ SELECT ?x WHERE { ?x s:weight ?w } ORDER BY ASC(?w) OFFSET 1 LIMIT 1`
 
 func TestAsk(t *testing.T) {
 	st := sampleStore()
-	r, err := Eval(st, `PREFIX s: <`+onto+`> ASK { s:Mercury s:isA s:HazardousWaste }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> ASK { s:Mercury s:isA s:HazardousWaste }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Bool {
 		t.Error("ASK should be true")
 	}
-	r2, err := Eval(st, `PREFIX s: <`+onto+`> ASK { s:Gold s:isA s:HazardousWaste }`)
+	r2, err := EvalOpts(st, `PREFIX s: <`+onto+`> ASK { s:Gold s:isA s:HazardousWaste }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPathSequence(t *testing.T) {
 	// isA/subClassOf: Mercury → HazardousWaste → Waste.
 	q := `PREFIX s: <` + onto + `>
 SELECT ?c WHERE { s:Mercury s:isA/s:subClassOf ?c }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestPathAlternative(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { s:Mercury s:foundWith|s:isA ?x }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPathPlusTransitive(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?c WHERE { s:HazardousWaste s:subClassOf+ ?c }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPathStarIncludesSelf(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?c WHERE { s:Waste s:subClassOf* ?c }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestPathInverse(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { s:HazardousWaste ^s:isA ?x }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestPathClosureObjectBound(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:subClassOf+ s:Material }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ SELECT ?x WHERE { ?x s:subClassOf+ s:Material }`
 func TestVariablePredicate(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `> SELECT ?p ?o WHERE { s:Gold ?p ?o }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestPredicateObjectLists(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:isA s:HazardousWaste ; s:dangerLevel "high" }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestBoundAndIsFunctions(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } FILTER (!BOUND(?d)) }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ SELECT ?x WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } FILTER (!BOUND(
 	}
 	q2 := `PREFIX s: <` + onto + `>
 SELECT ?o WHERE { s:Mercury ?p ?o . FILTER (ISLITERAL(?o)) }`
-	r2, err := Eval(st, q2)
+	r2, err := EvalOpts(st, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ SELECT ?o WHERE { s:Mercury ?p ?o . FILTER (ISLITERAL(?o)) }`
 func TestRdfTypeKeywordA(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add(rdf.Triple{S: iri("Mercury"), P: rdf.NewIRI(rdf.RDFType), O: iri("Element")})
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { ?x a s:Element }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { ?x a s:Element }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestEvalAgainstLargerGraphChain(t *testing.T) {
 			O: iri(fmt.Sprintf("a%d", i+1)),
 		})
 	}
-	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { s:a0 s:next+ ?x }`)
+	r, err := EvalOpts(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { s:a0 s:next+ ?x }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestFilterOnUnboundDropsSolution(t *testing.T) {
 	st := sampleStore()
 	q := `PREFIX s: <` + onto + `>
 SELECT ?x WHERE { ?x s:isA ?c . OPTIONAL { ?x s:dangerLevel ?d } FILTER (?d = "high") }`
-	r, err := Eval(st, q)
+	r, err := EvalOpts(st, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

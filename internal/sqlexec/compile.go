@@ -58,7 +58,7 @@ type Options struct {
 	// PartialResults degrades instead of failing when a scanned source is
 	// down before producing any row (sqldb.ErrSourceDown — an open FDW
 	// circuit breaker): the source contributes zero rows and is named in
-	// Result.SkippedSources / StreamContext's skip list. Off by default:
+	// Result.SkippedSources / StreamInfo.SkippedSources. Off by default:
 	// a down source fails the query fast with a typed error.
 	PartialResults bool
 }
@@ -160,12 +160,6 @@ type groupSink struct {
 type aggSpec struct {
 	fc  *sqlparser.FuncCall
 	arg cexpr // nil for COUNT(*)
-}
-
-// Compile lowers a parsed SELECT into a physical plan with default
-// options.
-func Compile(db *sqldb.Database, sel *sqlparser.Select) (*SelectPlan, error) {
-	return CompileOpts(db, sel, Options{})
 }
 
 // CompileOpts lowers a parsed SELECT into a physical plan.
@@ -288,10 +282,32 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 			outCols[i] = ScopeCol{Name: h}
 		}
 		outEnv := &compileEnv{cols: outCols}
+		var items []sqlparser.SelectItem
+		if p.distinct {
+			if items, err = expandItems(sel, c.layout); err != nil {
+				return nil, err
+			}
+		}
 		for _, ob := range sel.OrderBy {
 			op := orderPlan{desc: ob.Desc}
 			outCE, outErr := compileExpr(ob.Expr, outEnv)
 			underCE, underErr := compileExpr(ob.Expr, underEnv)
+			if p.distinct {
+				// Duplicates collapse into one output row, so a key must
+				// read that row only: repeat a select item or name output
+				// columns. A key over other columns would take its value
+				// from whichever duplicate came first, which depends on
+				// the join order.
+				for i, it := range items {
+					if it.Expr.SQL() == ob.Expr.SQL() {
+						outCE, outErr = cSlot{slot: i}, nil
+					}
+				}
+				if outErr != nil {
+					return nil, fmt.Errorf("sqlexec: for SELECT DISTINCT, ORDER BY expression %s must appear in the select list", ob.Expr.SQL())
+				}
+				underCE = nil // no fallback to the underlying row
+			}
 			if outErr == nil {
 				op.outKey = outCE
 			}
@@ -1277,33 +1293,16 @@ func ResolvesInFrom(db *sqldb.Database, sel *sqlparser.Select, e sqlparser.Expr)
 	return err == nil
 }
 
-// --- Predicate: compiled boolean expression over a fixed layout ---
+// --- CompiledExpr: an expression compiled over a fixed layout ---
 
-// Predicate is a compiled boolean expression over a fixed column layout.
-// The enrichment pipeline and the UPDATE/DELETE paths use it to evaluate
-// one parsed predicate against many rows without walking the AST per row.
-type Predicate struct{ e cexpr }
-
-// CompilePredicate lowers e against the column layout. Column references
-// resolve to row offsets once, at compile time.
-func CompilePredicate(cols []ScopeCol, e sqlparser.Expr) (*Predicate, error) {
-	ce, err := compileExpr(e, &compileEnv{cols: cols})
-	if err != nil {
-		return nil, err
-	}
-	return &Predicate{e: ce}, nil
-}
-
-// EvalBool evaluates the predicate over a row (parallel to the layout it
-// was compiled against) with SQL three-valued logic.
-func (p *Predicate) EvalBool(row []sqlval.Value) (sqlval.Tri, error) {
-	return cEvalBool(p.e, row)
-}
-
-// CompiledExpr is a compiled scalar expression over a fixed column layout.
+// CompiledExpr is a compiled expression over a fixed column layout. The
+// enrichment pipeline and the UPDATE/DELETE paths use it to evaluate one
+// parsed expression or predicate against many rows without walking the
+// AST per row.
 type CompiledExpr struct{ e cexpr }
 
-// CompileExpr lowers a scalar expression against the column layout.
+// CompileExpr lowers e against the column layout. Column references
+// resolve to row offsets once, at compile time.
 func CompileExpr(cols []ScopeCol, e sqlparser.Expr) (*CompiledExpr, error) {
 	ce, err := compileExpr(e, &compileEnv{cols: cols})
 	if err != nil {
@@ -1315,4 +1314,10 @@ func CompileExpr(cols []ScopeCol, e sqlparser.Expr) (*CompiledExpr, error) {
 // Eval evaluates the expression over a row parallel to the layout.
 func (x *CompiledExpr) Eval(row []sqlval.Value) (sqlval.Value, error) {
 	return x.e.eval(row)
+}
+
+// EvalBool evaluates the expression as a predicate over a row parallel to
+// the layout, with SQL three-valued logic.
+func (x *CompiledExpr) EvalBool(row []sqlval.Value) (sqlval.Tri, error) {
+	return cEvalBool(x.e, row)
 }

@@ -91,6 +91,47 @@ func mustParseSelect(t *testing.T, q string) *sqlparser.Select {
 	return st.(*sqlparser.Select)
 }
 
+// Under SELECT DISTINCT an ORDER BY key must be a function of the output
+// row. A key over other columns takes its value from whichever duplicate
+// arrives first, which depends on the join order, so both the compiled
+// path and the interpreter reject it — on an empty table too — and accept
+// keys that repeat a select item or name output columns.
+func TestDistinctOrderByKeys(t *testing.T) {
+	db := sampleDB(t)
+	mustExec(t, db, `CREATE TABLE empty (a INT, b TEXT)`)
+	for _, q := range []string{
+		`SELECT DISTINCT e.elem_name FROM elem_contained e JOIN landfill l ON e.landfill_name = l.name ORDER BY l.city`,
+		`SELECT DISTINCT elem_name FROM elem_contained ORDER BY amount`,
+		`SELECT DISTINCT a + 1 FROM empty ORDER BY a`,
+		`SELECT DISTINCT landfill_name FROM elem_contained GROUP BY landfill_name ORDER BY COUNT(*)`,
+	} {
+		if _, err := Exec(db, q, Options{}); err == nil || !strings.Contains(err.Error(), "must appear in the select list") {
+			t.Errorf("%q: compiled err = %v, want the select-list error", q, err)
+		}
+		if _, err := evalSelectInterp(db, mustParseSelect(t, q)); err == nil {
+			t.Errorf("%q: interpreter accepted it", q)
+		}
+	}
+	for _, q := range []string{
+		`SELECT DISTINCT e.elem_name FROM elem_contained e JOIN landfill l ON e.landfill_name = l.name ORDER BY e.elem_name DESC`,
+		`SELECT DISTINCT elem_name, amount FROM elem_contained ORDER BY amount, elem_name`,
+		`SELECT DISTINCT UPPER(elem_name) AS u FROM elem_contained ORDER BY u`,
+		`SELECT DISTINCT a + 1 FROM empty ORDER BY a + 1`,
+		`SELECT DISTINCT landfill_name, COUNT(*) FROM elem_contained GROUP BY landfill_name ORDER BY COUNT(*), landfill_name`,
+	} {
+		ref, err := evalSelectInterp(db, mustParseSelect(t, q))
+		if err != nil {
+			t.Fatalf("%q: interp: %v", q, err)
+		}
+		for _, opts := range []Options{{}, {DisableHashJoin: true}, {DisableTopK: true}} {
+			got := mustExecOpts(t, db, q, opts)
+			if g, w := strings.Join(renderRows(got), "\n"), strings.Join(renderRows(ref), "\n"); g != w {
+				t.Errorf("%q opts=%+v:\n got %s\nwant %s", q, opts, g, w)
+			}
+		}
+	}
+}
+
 // ORDER BY keys fall back from the projected alias to the underlying
 // column per row when evaluation (not just resolution) fails — e.g. an
 // alias that shadows a sortable column with text.

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"fmt"
 
 	"crosse/internal/sqldb"
@@ -23,30 +24,18 @@ type Result struct {
 	ParallelFallback string
 }
 
-// Exec parses and executes one SQL statement against db.
-func Exec(db *sqldb.Database, src string) (*Result, error) {
-	return ExecOpts(db, src, Options{})
-}
-
-// ExecOpts parses and executes one SQL statement with execution options.
-func ExecOpts(db *sqldb.Database, src string, opts Options) (*Result, error) {
+// Exec parses and executes one SQL statement against db with execution
+// options. A SELECT compiles to a physical plan and runs once; callers
+// evaluating the same SELECT repeatedly should CompileOpts once (or use
+// internal/core's plan cache) and RunContext the plan per evaluation.
+func Exec(db *sqldb.Database, src string, opts Options) (*Result, error) {
 	st, err := sqlparser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return ExecStatementOpts(db, st, opts)
-}
-
-// ExecStatement executes a parsed statement against db.
-func ExecStatement(db *sqldb.Database, st sqlparser.Statement) (*Result, error) {
-	return ExecStatementOpts(db, st, Options{})
-}
-
-// ExecStatementOpts executes a parsed statement with execution options.
-func ExecStatementOpts(db *sqldb.Database, st sqlparser.Statement, opts Options) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparser.Select:
-		return EvalSelectOpts(db, s, opts)
+		return runSelect(db, s, opts)
 	case *sqlparser.CreateTable:
 		return execCreateTable(db, s)
 	case *sqlparser.DropTable:
@@ -74,21 +63,13 @@ func ExecStatementOpts(db *sqldb.Database, st sqlparser.Statement, opts Options)
 	}
 }
 
-// EvalSelect runs a SELECT against the database and returns the result.
-// It compiles the statement into a physical plan and executes it; callers
-// evaluating the same SELECT repeatedly should Compile once (or use
-// internal/core's plan cache) and Run the plan per evaluation.
-func EvalSelect(db *sqldb.Database, sel *sqlparser.Select) (*Result, error) {
-	return EvalSelectOpts(db, sel, Options{})
-}
-
-// EvalSelectOpts runs a SELECT with execution options.
-func EvalSelectOpts(db *sqldb.Database, sel *sqlparser.Select, opts Options) (*Result, error) {
+// runSelect compiles a SELECT and runs the plan once.
+func runSelect(db *sqldb.Database, sel *sqlparser.Select, opts Options) (*Result, error) {
 	p, err := CompileOpts(db, sel, opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.Run()
+	return p.RunContext(context.TODO())
 }
 
 func execCreateTable(db *sqldb.Database, s *sqlparser.CreateTable) (*Result, error) {
@@ -127,7 +108,7 @@ func execInsert(db *sqldb.Database, s *sqlparser.Insert, opts Options) (*Result,
 
 	// INSERT ... SELECT: evaluate the query and insert its rows.
 	if s.Query != nil {
-		res, err := EvalSelectOpts(db, s.Query, opts)
+		res, err := runSelect(db, s.Query, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +129,6 @@ func execInsert(db *sqldb.Database, s *sqlparser.Insert, opts Options) (*Result,
 		return &Result{Affected: n}, nil
 	}
 
-	empty := &Scope{}
 	n := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(positions) {
@@ -156,7 +136,13 @@ func execInsert(db *sqldb.Database, s *sqlparser.Insert, opts Options) (*Result,
 		}
 		row := make([]sqlval.Value, len(schema))
 		for i, e := range exprRow {
-			v, err := Eval(e, empty)
+			// VALUES expressions see no columns: compile against an empty
+			// layout and evaluate over an empty row.
+			ce, err := compileExpr(e, &compileEnv{})
+			if err != nil {
+				return nil, err
+			}
+			v, err := ce.eval(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +172,7 @@ func tablePredicate(t *sqldb.Table, where sqlparser.Expr) (func(row []sqlval.Val
 	if where == nil {
 		return func([]sqlval.Value) (bool, error) { return true, nil }, nil
 	}
-	pred, err := CompilePredicate(tableLayout(t), where)
+	pred, err := CompileExpr(tableLayout(t), where)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func mustExec(t *testing.T, db *sqldb.Database, sql string) *Result {
 // mustExecOpts runs a statement with execution options.
 func mustExecOpts(t *testing.T, db *sqldb.Database, sql string, opts Options) *Result {
 	t.Helper()
-	r, err := ExecOpts(db, sql, opts)
+	r, err := Exec(db, sql, opts)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -320,7 +320,7 @@ func TestErrorCases(t *testing.T) {
 		`SELECT name, COUNT(*) FROM landfill t, landfill u`,
 	}
 	for _, q := range bad {
-		if _, err := Exec(db, q); err == nil {
+		if _, err := Exec(db, q, Options{}); err == nil {
 			t.Errorf("%q should fail", q)
 		}
 	}
@@ -328,7 +328,7 @@ func TestErrorCases(t *testing.T) {
 
 func TestAmbiguousColumn(t *testing.T) {
 	db := sampleDB(t)
-	_, err := Exec(db, `SELECT name FROM landfill a, landfill b`)
+	_, err := Exec(db, `SELECT name FROM landfill a, landfill b`, Options{})
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("want ambiguity error, got %v", err)
 	}

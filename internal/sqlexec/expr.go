@@ -9,22 +9,22 @@
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
 // and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as
 // a push-based streaming pipeline over reused rows (run.go). Options
-// carries the planner ablation knobs. EvalSelect/Exec wrap
-// compile-then-run; plans are cacheable across executions (see
+// carries the planner ablation knobs. Exec parses, compiles and runs one
+// statement; plans are cacheable across executions (see
 // internal/core.QueryCache.SQLSelect).
 //
 // Compilation makes column-reference errors data-independent: a SELECT,
 // UPDATE or DELETE naming an unknown or ambiguous column fails up front,
-// where the interpreter only failed once a row reached the broken
+// where the seed interpreter only failed once a row reached the broken
 // expression (queries over empty tables silently succeeded). Function
 // names, arities and value-type errors stay evaluation-time in both
 // paths.
 //
-// This file holds the value-level machinery both executors share —
-// expression evaluation with SQL three-valued logic, scalar and
-// aggregate functions — and interp.go keeps the seed's materialising
-// interpreter as the reference oracle for the parity suite. DDL/DML
-// statements execute in exec.go.
+// This file holds the value-level machinery the compiled executor shares
+// with the seed interpreter — arithmetic, LIKE, scalar and aggregate
+// functions — and the AST helpers the compile layer uses. The seed's
+// materialising interpreter lives in oracle_test.go as the reference
+// oracle for the parity suite. DDL/DML statements execute in exec.go.
 package sqlexec
 
 import (
@@ -44,170 +44,11 @@ type ScopeCol struct {
 	Name      string
 }
 
-// Scope resolves column references during expression evaluation. Cols and
-// Row are parallel. Aggs carries pre-computed aggregate results in grouped
-// evaluation (keyed by the rendered SQL of the call).
-type Scope struct {
-	Cols []ScopeCol
-	Row  []sqlval.Value
-	Aggs map[string]sqlval.Value
-}
-
-// Lookup finds the value of a (possibly qualified) column reference.
-func (s *Scope) Lookup(qual, name string) (sqlval.Value, error) {
-	found := -1
-	for i, c := range s.Cols {
-		if !strings.EqualFold(c.Name, name) {
-			continue
-		}
-		if qual != "" && !strings.EqualFold(c.Qualifier, qual) {
-			continue
-		}
-		if found >= 0 {
-			return sqlval.Null, fmt.Errorf("sqlexec: ambiguous column reference %q", refName(qual, name))
-		}
-		found = i
-	}
-	if found < 0 {
-		return sqlval.Null, fmt.Errorf("sqlexec: unknown column %q", refName(qual, name))
-	}
-	return s.Row[found], nil
-}
-
 func refName(qual, name string) string {
 	if qual != "" {
 		return qual + "." + name
 	}
 	return name
-}
-
-// Eval evaluates an expression in the scope, producing a value (NULL encodes
-// SQL UNKNOWN for boolean expressions).
-func Eval(e sqlparser.Expr, s *Scope) (sqlval.Value, error) {
-	switch ex := e.(type) {
-	case *sqlparser.Literal:
-		return ex.Val, nil
-	case *sqlparser.ColRef:
-		return s.Lookup(ex.Qualifier, ex.Name)
-	case *sqlparser.BinExpr:
-		return evalBin(ex, s)
-	case *sqlparser.UnaryExpr:
-		return evalUnary(ex, s)
-	case *sqlparser.IsNull:
-		v, err := Eval(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if ex.Not {
-			return sqlval.NewBool(!v.IsNull()), nil
-		}
-		return sqlval.NewBool(v.IsNull()), nil
-	case *sqlparser.InList:
-		return evalIn(ex, s)
-	case *sqlparser.Between:
-		return evalBetween(ex, s)
-	case *sqlparser.FuncCall:
-		if IsAggregate(ex.Name) {
-			if s.Aggs == nil {
-				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s outside grouping context", ex.Name)
-			}
-			v, ok := s.Aggs[ex.SQL()]
-			if !ok {
-				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s not computed", ex.SQL())
-			}
-			return v, nil
-		}
-		return evalScalarFunc(ex, s)
-	case *sqlparser.CaseExpr:
-		return evalCase(ex, s)
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unsupported expression %T", e)
-	}
-}
-
-// EvalBool evaluates e as a predicate with 3VL: NULL ⇒ Unknown.
-func EvalBool(e sqlparser.Expr, s *Scope) (sqlval.Tri, error) {
-	v, err := Eval(e, s)
-	if err != nil {
-		return sqlval.Unknown, err
-	}
-	if v.IsNull() {
-		return sqlval.Unknown, nil
-	}
-	b, err := sqlval.Coerce(v, sqlval.TypeBool)
-	if err != nil {
-		return sqlval.Unknown, fmt.Errorf("sqlexec: predicate is not boolean: %w", err)
-	}
-	return sqlval.TriOf(b.Bool()), nil
-}
-
-func evalBin(ex *sqlparser.BinExpr, s *Scope) (sqlval.Value, error) {
-	switch ex.Op {
-	case sqlparser.OpAnd, sqlparser.OpOr:
-		l, err := EvalBool(ex.L, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		r, err := EvalBool(ex.R, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if ex.Op == sqlparser.OpAnd {
-			return l.And(r).Value(), nil
-		}
-		return l.Or(r).Value(), nil
-	}
-
-	l, err := Eval(ex.L, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	r, err := Eval(ex.R, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-
-	switch ex.Op {
-	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil // UNKNOWN
-		}
-		c, err := sqlval.Compare(l, r)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		switch ex.Op {
-		case sqlparser.OpEq:
-			return sqlval.NewBool(c == 0), nil
-		case sqlparser.OpNe:
-			return sqlval.NewBool(c != 0), nil
-		case sqlparser.OpLt:
-			return sqlval.NewBool(c < 0), nil
-		case sqlparser.OpLe:
-			return sqlval.NewBool(c <= 0), nil
-		case sqlparser.OpGt:
-			return sqlval.NewBool(c > 0), nil
-		default:
-			return sqlval.NewBool(c >= 0), nil
-		}
-	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv, sqlparser.OpMod:
-		return evalArith(ex.Op, l, r)
-	case sqlparser.OpConcat:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.NewString(l.String() + r.String()), nil
-	case sqlparser.OpLike:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		if l.Type() != sqlval.TypeString || r.Type() != sqlval.TypeString {
-			return sqlval.Null, fmt.Errorf("sqlexec: LIKE requires text operands")
-		}
-		return sqlval.NewBool(likeMatch(l.Str(), r.Str())), nil
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unsupported operator %v", ex.Op)
-	}
 }
 
 func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) {
@@ -260,127 +101,6 @@ func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) 
 		}
 		return sqlval.NewFloat(math.Mod(a, b)), nil
 	}
-}
-
-func evalUnary(ex *sqlparser.UnaryExpr, s *Scope) (sqlval.Value, error) {
-	switch ex.Op {
-	case "NOT":
-		t, err := EvalBool(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		return t.Not().Value(), nil
-	case "-":
-		v, err := Eval(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		switch v.Type() {
-		case sqlval.TypeNull:
-			return sqlval.Null, nil
-		case sqlval.TypeInt:
-			return sqlval.NewInt(-v.Int()), nil
-		case sqlval.TypeFloat:
-			return sqlval.NewFloat(-v.Float()), nil
-		default:
-			return sqlval.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Type())
-		}
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unknown unary operator %q", ex.Op)
-	}
-}
-
-func evalIn(ex *sqlparser.InList, s *Scope) (sqlval.Value, error) {
-	v, err := Eval(ex.E, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	if v.IsNull() {
-		return sqlval.Null, nil
-	}
-	sawNull := false
-	for _, le := range ex.List {
-		lv, err := Eval(le, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if lv.IsNull() {
-			sawNull = true
-			continue
-		}
-		if c, err := sqlval.Compare(v, lv); err == nil && c == 0 {
-			return sqlval.NewBool(!ex.Not), nil
-		}
-	}
-	if sawNull {
-		return sqlval.Null, nil // UNKNOWN per SQL semantics
-	}
-	return sqlval.NewBool(ex.Not), nil
-}
-
-func evalBetween(ex *sqlparser.Between, s *Scope) (sqlval.Value, error) {
-	v, err := Eval(ex.E, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	lo, err := Eval(ex.Lo, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	hi, err := Eval(ex.Hi, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return sqlval.Null, nil
-	}
-	c1, err := sqlval.Compare(v, lo)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	c2, err := sqlval.Compare(v, hi)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	in := c1 >= 0 && c2 <= 0
-	if ex.Not {
-		in = !in
-	}
-	return sqlval.NewBool(in), nil
-}
-
-func evalCase(ex *sqlparser.CaseExpr, s *Scope) (sqlval.Value, error) {
-	if ex.Operand != nil {
-		op, err := Eval(ex.Operand, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		for _, w := range ex.Whens {
-			wv, err := Eval(w.Cond, s)
-			if err != nil {
-				return sqlval.Null, err
-			}
-			if !op.IsNull() && !wv.IsNull() {
-				if c, err := sqlval.Compare(op, wv); err == nil && c == 0 {
-					return Eval(w.Then, s)
-				}
-			}
-		}
-	} else {
-		for _, w := range ex.Whens {
-			t, err := EvalBool(w.Cond, s)
-			if err != nil {
-				return sqlval.Null, err
-			}
-			if t == sqlval.True {
-				return Eval(w.Then, s)
-			}
-		}
-	}
-	if ex.Else != nil {
-		return Eval(ex.Else, s)
-	}
-	return sqlval.Null, nil
 }
 
 // likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
@@ -512,16 +232,103 @@ func collectAggregates(e sqlparser.Expr, out *[]*sqlparser.FuncCall) {
 	}
 }
 
-func evalScalarFunc(ex *sqlparser.FuncCall, s *Scope) (sqlval.Value, error) {
-	args := make([]sqlval.Value, len(ex.Args))
-	for i, a := range ex.Args {
-		v, err := Eval(a, s)
-		if err != nil {
-			return sqlval.Null, err
+func anyItemAggregate(sel *sqlparser.Select) bool {
+	for _, it := range sel.Items {
+		if !it.Star && HasAggregate(it.Expr) {
+			return true
 		}
-		args[i] = v
 	}
-	return applyScalarFunc(ex.Name, args)
+	return false
+}
+
+// splitAnd flattens a conjunction into its conjuncts.
+func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
+	if e == nil {
+		return nil
+	}
+	if be, ok := e.(*sqlparser.BinExpr); ok && be.Op == sqlparser.OpAnd {
+		return append(splitAnd(be.L), splitAnd(be.R)...)
+	}
+	return []sqlparser.Expr{e}
+}
+
+// exprCols lists the column references in an expression.
+func exprCols(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
+	switch ex := e.(type) {
+	case *sqlparser.ColRef:
+		*out = append(*out, ex)
+	case *sqlparser.BinExpr:
+		exprCols(ex.L, out)
+		exprCols(ex.R, out)
+	case *sqlparser.UnaryExpr:
+		exprCols(ex.E, out)
+	case *sqlparser.IsNull:
+		exprCols(ex.E, out)
+	case *sqlparser.InList:
+		exprCols(ex.E, out)
+		for _, le := range ex.List {
+			exprCols(le, out)
+		}
+	case *sqlparser.Between:
+		exprCols(ex.E, out)
+		exprCols(ex.Lo, out)
+		exprCols(ex.Hi, out)
+	case *sqlparser.FuncCall:
+		for _, a := range ex.Args {
+			exprCols(a, out)
+		}
+	case *sqlparser.CaseExpr:
+		if ex.Operand != nil {
+			exprCols(ex.Operand, out)
+		}
+		for _, w := range ex.Whens {
+			exprCols(w.Cond, out)
+			exprCols(w.Then, out)
+		}
+		if ex.Else != nil {
+			exprCols(ex.Else, out)
+		}
+	}
+}
+
+func itemName(it sqlparser.SelectItem, pos int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if cr, ok := it.Expr.(*sqlparser.ColRef); ok {
+		return cr.Name
+	}
+	if it.Expr != nil {
+		return it.Expr.SQL()
+	}
+	return fmt.Sprintf("col%d", pos+1)
+}
+
+// expandItems resolves stars into concrete column projections against a
+// column layout (shared by the interpreter and the compile layer).
+func expandItems(sel *sqlparser.Select, cols []ScopeCol) ([]sqlparser.SelectItem, error) {
+	var out []sqlparser.SelectItem
+	for _, it := range sel.Items {
+		if !it.Star {
+			out = append(out, it)
+			continue
+		}
+		matched := false
+		for _, c := range cols {
+			if it.Qualifier != "" && !strings.EqualFold(c.Qualifier, it.Qualifier) {
+				continue
+			}
+			matched = true
+			out = append(out, sqlparser.SelectItem{
+				Expr:  &sqlparser.ColRef{Qualifier: c.Qualifier, Name: c.Name},
+				Alias: c.Name,
+			})
+		}
+		if !matched {
+			return nil, fmt.Errorf("sqlexec: %s.* matches no columns", it.Qualifier)
+		}
+	}
+	return out, nil
 }
 
 // applyScalarFunc applies a scalar function to already-evaluated
@@ -744,21 +551,6 @@ func newCollectAggState(call *sqlparser.FuncCall) *aggState {
 		st.dvals = map[string]distinctVal{}
 	}
 	return st
-}
-
-func (a *aggState) add(s *Scope) error {
-	if a.call.Star { // COUNT(*)
-		a.count++
-		return nil
-	}
-	if len(a.call.Args) != 1 {
-		return fmt.Errorf("sqlexec: %s expects one argument", a.call.Name)
-	}
-	v, err := Eval(a.call.Args[0], s)
-	if err != nil {
-		return err
-	}
-	return a.addValue(v)
 }
 
 // addValue accumulates one already-evaluated argument value (the compiled

@@ -19,7 +19,7 @@ func evalConst(t *testing.T, expr string) sqlval.Value {
 func evalConstErr(t *testing.T, expr string) error {
 	t.Helper()
 	db := sqldb.NewDatabase()
-	_, err := Exec(db, "SELECT "+expr)
+	_, err := Exec(db, "SELECT "+expr, Options{})
 	return err
 }
 
@@ -190,7 +190,7 @@ func TestAggregateArityAndTypeErrors(t *testing.T) {
 		`SELECT AVG(s) FROM t`,
 		`SELECT SUM(s, s) FROM t`,
 	} {
-		if _, err := Exec(db, q); err == nil {
+		if _, err := Exec(db, q, Options{}); err == nil {
 			t.Errorf("%s should fail", q)
 		}
 	}
@@ -238,10 +238,10 @@ func TestOffsetBeyondEnd(t *testing.T) {
 
 func TestUnknownFromAndStar(t *testing.T) {
 	db := sampleDB(t)
-	if _, err := Exec(db, `SELECT zz.* FROM landfill l`); err == nil {
+	if _, err := Exec(db, `SELECT zz.* FROM landfill l`, Options{}); err == nil {
 		t.Error("star with unknown qualifier must fail")
 	}
-	if _, err := Exec(db, `SELECT * `); err == nil {
+	if _, err := Exec(db, `SELECT * `, Options{}); err == nil {
 		t.Error("bare star without FROM must fail")
 	}
 }

@@ -1,12 +1,14 @@
-// interp.go — the materialising reference interpreter. This is the seed
-// executor, stripped of its planner fast paths (the equi-hash join moved
-// into the compiled pipeline, where it is governed by Options): it resolves
-// column references by name per row, materialises a full rowset at every
-// stage and only ever nested-loops joins. Production execution goes through
-// the compiled SelectPlan (compile.go / run.go); the interpreter remains as
-// the independent oracle the parity suite pins the compiled semantics to.
-
 package sqlexec
+
+// oracle_test.go — the seed's materialising interpreter, kept as the
+// reference oracle the parity suite and the differential fuzz target pin
+// the compiled pipeline (compile.go / run.go) to. It is the seed executor
+// stripped of its planner fast paths: it resolves column references by
+// name per row through an AST evaluator (Scope, Eval, EvalBool),
+// materialises a full rowset at every stage and only ever nested-loops
+// joins. Production never reaches it; it shares only the value-level
+// helpers in expr.go (evalArith, applyScalarFunc, likeMatch and the
+// aggregate state).
 
 import (
 	"fmt"
@@ -17,6 +19,313 @@ import (
 	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
 )
+
+// Scope resolves column references during expression evaluation. Cols and
+// Row are parallel. Aggs carries pre-computed aggregate results in grouped
+// evaluation (keyed by the rendered SQL of the call).
+type Scope struct {
+	Cols []ScopeCol
+	Row  []sqlval.Value
+	Aggs map[string]sqlval.Value
+}
+
+// Lookup finds the value of a (possibly qualified) column reference.
+func (s *Scope) Lookup(qual, name string) (sqlval.Value, error) {
+	found := -1
+	for i, c := range s.Cols {
+		if !strings.EqualFold(c.Name, name) {
+			continue
+		}
+		if qual != "" && !strings.EqualFold(c.Qualifier, qual) {
+			continue
+		}
+		if found >= 0 {
+			return sqlval.Null, fmt.Errorf("sqlexec: ambiguous column reference %q", refName(qual, name))
+		}
+		found = i
+	}
+	if found < 0 {
+		return sqlval.Null, fmt.Errorf("sqlexec: unknown column %q", refName(qual, name))
+	}
+	return s.Row[found], nil
+}
+
+// Eval evaluates an expression in the scope, producing a value (NULL encodes
+// SQL UNKNOWN for boolean expressions).
+func Eval(e sqlparser.Expr, s *Scope) (sqlval.Value, error) {
+	switch ex := e.(type) {
+	case *sqlparser.Literal:
+		return ex.Val, nil
+	case *sqlparser.ColRef:
+		return s.Lookup(ex.Qualifier, ex.Name)
+	case *sqlparser.BinExpr:
+		return evalBin(ex, s)
+	case *sqlparser.UnaryExpr:
+		return evalUnary(ex, s)
+	case *sqlparser.IsNull:
+		v, err := Eval(ex.E, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		if ex.Not {
+			return sqlval.NewBool(!v.IsNull()), nil
+		}
+		return sqlval.NewBool(v.IsNull()), nil
+	case *sqlparser.InList:
+		return evalIn(ex, s)
+	case *sqlparser.Between:
+		return evalBetween(ex, s)
+	case *sqlparser.FuncCall:
+		if IsAggregate(ex.Name) {
+			if s.Aggs == nil {
+				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s outside grouping context", ex.Name)
+			}
+			v, ok := s.Aggs[ex.SQL()]
+			if !ok {
+				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s not computed", ex.SQL())
+			}
+			return v, nil
+		}
+		return evalScalarFunc(ex, s)
+	case *sqlparser.CaseExpr:
+		return evalCase(ex, s)
+	default:
+		return sqlval.Null, fmt.Errorf("sqlexec: unsupported expression %T", e)
+	}
+}
+
+// EvalBool evaluates e as a predicate with 3VL: NULL ⇒ Unknown.
+func EvalBool(e sqlparser.Expr, s *Scope) (sqlval.Tri, error) {
+	v, err := Eval(e, s)
+	if err != nil {
+		return sqlval.Unknown, err
+	}
+	if v.IsNull() {
+		return sqlval.Unknown, nil
+	}
+	b, err := sqlval.Coerce(v, sqlval.TypeBool)
+	if err != nil {
+		return sqlval.Unknown, fmt.Errorf("sqlexec: predicate is not boolean: %w", err)
+	}
+	return sqlval.TriOf(b.Bool()), nil
+}
+
+func evalBin(ex *sqlparser.BinExpr, s *Scope) (sqlval.Value, error) {
+	switch ex.Op {
+	case sqlparser.OpAnd, sqlparser.OpOr:
+		l, err := EvalBool(ex.L, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		r, err := EvalBool(ex.R, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		if ex.Op == sqlparser.OpAnd {
+			return l.And(r).Value(), nil
+		}
+		return l.Or(r).Value(), nil
+	}
+
+	l, err := Eval(ex.L, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	r, err := Eval(ex.R, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+
+	switch ex.Op {
+	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
+		if l.IsNull() || r.IsNull() {
+			return sqlval.Null, nil // UNKNOWN
+		}
+		c, err := sqlval.Compare(l, r)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		switch ex.Op {
+		case sqlparser.OpEq:
+			return sqlval.NewBool(c == 0), nil
+		case sqlparser.OpNe:
+			return sqlval.NewBool(c != 0), nil
+		case sqlparser.OpLt:
+			return sqlval.NewBool(c < 0), nil
+		case sqlparser.OpLe:
+			return sqlval.NewBool(c <= 0), nil
+		case sqlparser.OpGt:
+			return sqlval.NewBool(c > 0), nil
+		default:
+			return sqlval.NewBool(c >= 0), nil
+		}
+	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv, sqlparser.OpMod:
+		return evalArith(ex.Op, l, r)
+	case sqlparser.OpConcat:
+		if l.IsNull() || r.IsNull() {
+			return sqlval.Null, nil
+		}
+		return sqlval.NewString(l.String() + r.String()), nil
+	case sqlparser.OpLike:
+		if l.IsNull() || r.IsNull() {
+			return sqlval.Null, nil
+		}
+		if l.Type() != sqlval.TypeString || r.Type() != sqlval.TypeString {
+			return sqlval.Null, fmt.Errorf("sqlexec: LIKE requires text operands")
+		}
+		return sqlval.NewBool(likeMatch(l.Str(), r.Str())), nil
+	default:
+		return sqlval.Null, fmt.Errorf("sqlexec: unsupported operator %v", ex.Op)
+	}
+}
+
+func evalUnary(ex *sqlparser.UnaryExpr, s *Scope) (sqlval.Value, error) {
+	switch ex.Op {
+	case "NOT":
+		t, err := EvalBool(ex.E, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		return t.Not().Value(), nil
+	case "-":
+		v, err := Eval(ex.E, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		switch v.Type() {
+		case sqlval.TypeNull:
+			return sqlval.Null, nil
+		case sqlval.TypeInt:
+			return sqlval.NewInt(-v.Int()), nil
+		case sqlval.TypeFloat:
+			return sqlval.NewFloat(-v.Float()), nil
+		default:
+			return sqlval.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Type())
+		}
+	default:
+		return sqlval.Null, fmt.Errorf("sqlexec: unknown unary operator %q", ex.Op)
+	}
+}
+
+func evalIn(ex *sqlparser.InList, s *Scope) (sqlval.Value, error) {
+	v, err := Eval(ex.E, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	if v.IsNull() {
+		return sqlval.Null, nil
+	}
+	sawNull := false
+	for _, le := range ex.List {
+		lv, err := Eval(le, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		if lv.IsNull() {
+			sawNull = true
+			continue
+		}
+		if c, err := sqlval.Compare(v, lv); err == nil && c == 0 {
+			return sqlval.NewBool(!ex.Not), nil
+		}
+	}
+	if sawNull {
+		return sqlval.Null, nil // UNKNOWN per SQL semantics
+	}
+	return sqlval.NewBool(ex.Not), nil
+}
+
+func evalBetween(ex *sqlparser.Between, s *Scope) (sqlval.Value, error) {
+	v, err := Eval(ex.E, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	lo, err := Eval(ex.Lo, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	hi, err := Eval(ex.Hi, s)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	if v.IsNull() || lo.IsNull() || hi.IsNull() {
+		return sqlval.Null, nil
+	}
+	c1, err := sqlval.Compare(v, lo)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	c2, err := sqlval.Compare(v, hi)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	in := c1 >= 0 && c2 <= 0
+	if ex.Not {
+		in = !in
+	}
+	return sqlval.NewBool(in), nil
+}
+
+func evalCase(ex *sqlparser.CaseExpr, s *Scope) (sqlval.Value, error) {
+	if ex.Operand != nil {
+		op, err := Eval(ex.Operand, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		for _, w := range ex.Whens {
+			wv, err := Eval(w.Cond, s)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			if !op.IsNull() && !wv.IsNull() {
+				if c, err := sqlval.Compare(op, wv); err == nil && c == 0 {
+					return Eval(w.Then, s)
+				}
+			}
+		}
+	} else {
+		for _, w := range ex.Whens {
+			t, err := EvalBool(w.Cond, s)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			if t == sqlval.True {
+				return Eval(w.Then, s)
+			}
+		}
+	}
+	if ex.Else != nil {
+		return Eval(ex.Else, s)
+	}
+	return sqlval.Null, nil
+}
+
+func evalScalarFunc(ex *sqlparser.FuncCall, s *Scope) (sqlval.Value, error) {
+	args := make([]sqlval.Value, len(ex.Args))
+	for i, a := range ex.Args {
+		v, err := Eval(a, s)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		args[i] = v
+	}
+	return applyScalarFunc(ex.Name, args)
+}
+
+func (a *aggState) add(s *Scope) error {
+	if a.call.Star { // COUNT(*)
+		a.count++
+		return nil
+	}
+	if len(a.call.Args) != 1 {
+		return fmt.Errorf("sqlexec: %s expects one argument", a.call.Name)
+	}
+	v, err := Eval(a.call.Args[0], s)
+	if err != nil {
+		return err
+	}
+	return a.addValue(v)
+}
 
 // rowset is a materialised intermediate relation with scope metadata.
 type rowset struct {
@@ -68,6 +377,29 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 		return nil, err
 	}
 
+	// Under DISTINCT each ORDER BY key reads the output row only: the
+	// select item it repeats (its position), or output columns by name
+	// (-1). Any other key is rejected whatever the data.
+	var distinctItem []int
+	if sel.Distinct && len(sel.OrderBy) > 0 {
+		items, err := expandItems(sel, base.cols)
+		if err != nil {
+			return nil, err
+		}
+		for _, ob := range sel.OrderBy {
+			j := -1
+			for i, it := range items {
+				if it.Expr.SQL() == ob.Expr.SQL() {
+					j = i
+				}
+			}
+			if j < 0 && (HasAggregate(ob.Expr) || !resolvable(ob.Expr, out)) {
+				return nil, fmt.Errorf("sqlexec: for SELECT DISTINCT, ORDER BY expression %s must appear in the select list", ob.Expr.SQL())
+			}
+			distinctItem = append(distinctItem, j)
+		}
+	}
+
 	// Compute ORDER BY keys before DISTINCT so keys stay aligned with rows.
 	var keys [][]sqlval.Value
 	if len(sel.OrderBy) > 0 {
@@ -75,6 +407,18 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 		for i, r := range out.rows {
 			ks := make([]sqlval.Value, len(sel.OrderBy))
 			for k, ob := range sel.OrderBy {
+				if distinctItem != nil {
+					if j := distinctItem[k]; j >= 0 {
+						ks[k] = r[j]
+						continue
+					}
+					v, err := Eval(ob.Expr, out.scope(r))
+					if err != nil {
+						return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
+					}
+					ks[k] = v
+					continue
+				}
 				// Projected aliases first, then underlying columns.
 				v, err := Eval(ob.Expr, out.scope(r))
 				if err != nil {
@@ -122,15 +466,6 @@ func selectNoFrom(sel *sqlparser.Select) (*Result, error) {
 		headers = append(headers, itemName(it, i))
 	}
 	return &Result{Columns: headers, Rows: [][]sqlval.Value{row}}, nil
-}
-
-func anyItemAggregate(sel *sqlparser.Select) bool {
-	for _, it := range sel.Items {
-		if !it.Star && HasAggregate(it.Expr) {
-			return true
-		}
-	}
-	return false
 }
 
 // --- FROM construction with join planning ---
@@ -232,56 +567,6 @@ func scanSource(src source) (*rowset, error) {
 		return true
 	})
 	return rs, err
-}
-
-// splitAnd flattens a conjunction into its conjuncts.
-func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
-	if e == nil {
-		return nil
-	}
-	if be, ok := e.(*sqlparser.BinExpr); ok && be.Op == sqlparser.OpAnd {
-		return append(splitAnd(be.L), splitAnd(be.R)...)
-	}
-	return []sqlparser.Expr{e}
-}
-
-// exprCols lists the column references in an expression.
-func exprCols(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
-	switch ex := e.(type) {
-	case *sqlparser.ColRef:
-		*out = append(*out, ex)
-	case *sqlparser.BinExpr:
-		exprCols(ex.L, out)
-		exprCols(ex.R, out)
-	case *sqlparser.UnaryExpr:
-		exprCols(ex.E, out)
-	case *sqlparser.IsNull:
-		exprCols(ex.E, out)
-	case *sqlparser.InList:
-		exprCols(ex.E, out)
-		for _, le := range ex.List {
-			exprCols(le, out)
-		}
-	case *sqlparser.Between:
-		exprCols(ex.E, out)
-		exprCols(ex.Lo, out)
-		exprCols(ex.Hi, out)
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			exprCols(a, out)
-		}
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			exprCols(ex.Operand, out)
-		}
-		for _, w := range ex.Whens {
-			exprCols(w.Cond, out)
-			exprCols(w.Then, out)
-		}
-		if ex.Else != nil {
-			exprCols(ex.Else, out)
-		}
-	}
 }
 
 // resolvable reports whether every column the expression references is
@@ -390,46 +675,6 @@ func joinLeft(l, r *rowset, on sqlparser.Expr) (*rowset, error) {
 }
 
 // --- projection ---
-
-func itemName(it sqlparser.SelectItem, pos int) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(*sqlparser.ColRef); ok {
-		return cr.Name
-	}
-	if it.Expr != nil {
-		return it.Expr.SQL()
-	}
-	return fmt.Sprintf("col%d", pos+1)
-}
-
-// expandItems resolves stars into concrete column projections against a
-// column layout (shared by the interpreter and the compile layer).
-func expandItems(sel *sqlparser.Select, cols []ScopeCol) ([]sqlparser.SelectItem, error) {
-	var out []sqlparser.SelectItem
-	for _, it := range sel.Items {
-		if !it.Star {
-			out = append(out, it)
-			continue
-		}
-		matched := false
-		for _, c := range cols {
-			if it.Qualifier != "" && !strings.EqualFold(c.Qualifier, it.Qualifier) {
-				continue
-			}
-			matched = true
-			out = append(out, sqlparser.SelectItem{
-				Expr:  &sqlparser.ColRef{Qualifier: c.Qualifier, Name: c.Name},
-				Alias: c.Name,
-			})
-		}
-		if !matched {
-			return nil, fmt.Errorf("sqlexec: %s.* matches no columns", it.Qualifier)
-		}
-	}
-	return out, nil
-}
 
 func selectPlain(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*Scope, error) {
 	items, err := expandItems(sel, base.cols)

@@ -9,6 +9,7 @@ package sqlexec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,24 +20,20 @@ import (
 // cardinality keys (x.a spans 10 values, x.b six), so nearly every sort
 // has ties and the stable-order contract is what distinguishes a correct
 // merge from a lucky one. No unique-key tiebreak is appended on purpose.
+// A DISTINCT query also projects its ORDER BY columns, which SELECT
+// DISTINCT requires.
 func genOrderedSelect(rng *rand.Rand) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if rng.Intn(3) == 0 {
-		b.WriteString("DISTINCT ")
-	}
+	distinct := rng.Intn(3) == 0
 	cols := []string{"x.id", "x.a", "x.b", "x.c", "UPPER(x.b)", "x.a + 1"}
 	join := rng.Intn(3) == 0
 	if join {
 		cols = append(cols, "y.k", "y.v")
 	}
-	k := rng.Intn(3) + 1
-	for i := 0; i < k; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(cols[rng.Intn(len(cols))])
+	var items []string
+	for i := rng.Intn(3) + 1; i > 0; i-- {
+		items = append(items, cols[rng.Intn(len(cols))])
 	}
+	var b strings.Builder
 	b.WriteString(" FROM t1 x")
 	if join {
 		b.WriteString(" JOIN t2 y ON x.b = y.k")
@@ -47,20 +44,30 @@ func genOrderedSelect(rng *rand.Rand) string {
 	case 1:
 		b.WriteString(" WHERE x.c BETWEEN 2 AND 15")
 	}
-	orders := []string{
-		" ORDER BY x.a",
-		" ORDER BY x.b DESC",
-		" ORDER BY x.a DESC, x.b",
-		" ORDER BY x.b, x.a",
+	orders := [][]string{
+		{"x.a"},
+		{"x.b DESC"},
+		{"x.a DESC", "x.b"},
+		{"x.b", "x.a"},
 	}
-	b.WriteString(orders[rng.Intn(len(orders))])
+	order := orders[rng.Intn(len(orders))]
+	b.WriteString(" ORDER BY " + strings.Join(order, ", "))
 	if rng.Intn(2) == 0 {
 		b.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(12)+1))
 		if rng.Intn(2) == 0 {
 			b.WriteString(fmt.Sprintf(" OFFSET %d", rng.Intn(6)))
 		}
 	}
-	return b.String()
+	head := "SELECT "
+	if distinct {
+		head += "DISTINCT "
+		for _, key := range order {
+			if col := strings.TrimSuffix(key, " DESC"); !slices.Contains(items, col) {
+				items = append(items, col)
+			}
+		}
+	}
+	return head + strings.Join(items, ", ") + b.String()
 }
 
 // TestParallelOrderedDeterminism runs 100 randomised ORDER BY (+ OFFSET /
@@ -77,13 +84,13 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 			t.Fatalf("generated unparseable SQL %q: %v", text, err)
 		}
 		sel := st.(*sqlparser.Select)
-		base, err := EvalSelectOpts(db, sel, Options{Parallelism: 1})
+		base, err := runSelect(db, sel, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%q serial: %v", text, err)
 		}
 		want := strings.Join(renderRows(base), "\n")
 		for _, par := range []int{2, 4} {
-			got, err := EvalSelectOpts(db, sel, Options{Parallelism: par})
+			got, err := runSelect(db, sel, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", text, par, err)
 			}
@@ -110,7 +117,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := EvalSelectOpts(db, st.(*sqlparser.Select), Options{Parallelism: par})
+		res, err := runSelect(db, st.(*sqlparser.Select), Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
@@ -172,12 +179,12 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := st.(*sqlparser.Select)
-		_, serialErr := EvalSelectOpts(db, sel, Options{Parallelism: 1})
+		_, serialErr := runSelect(db, sel, Options{Parallelism: 1})
 		if serialErr == nil {
 			t.Fatalf("%q: expected a serial error", text)
 		}
 		for _, par := range []int{2, 4} {
-			_, parErr := EvalSelectOpts(db, sel, Options{Parallelism: par})
+			_, parErr := runSelect(db, sel, Options{Parallelism: par})
 			if parErr == nil || parErr.Error() != serialErr.Error() {
 				t.Fatalf("%q parallelism %d: error %v, serial %v", text, par, parErr, serialErr)
 			}

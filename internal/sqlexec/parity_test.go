@@ -1,7 +1,7 @@
 package sqlexec
 
 // parity_test.go — pins the compiled streaming pipeline (compile.go /
-// run.go) to the reference interpreter's semantics (interp.go). Randomised
+// run.go) to the reference interpreter's semantics (oracle_test.go). Randomised
 // SELECTs — joins (inner/left/comma), NULLs, LIKE, DISTINCT, ORDER
 // BY/LIMIT/OFFSET, grouping and aggregates — are evaluated both ways,
 // under every planner-option combination (hash joins and index pushdown on
@@ -248,83 +248,106 @@ func forceParallel(t *testing.T) {
 
 // TestCompiledMatchesInterpreter is the parity property: for every
 // generated query, the compiled pipeline agrees with the interpreter under
-// every option combination — exact row sequence when the query orders by a
-// unique key chain, multiset equality otherwise (SQL leaves that order
-// unspecified, and the executor's build-side choice may legitimately
-// differ from the interpreter's nesting).
+// every option combination.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 12; trial++ {
 		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
 		for q := 0; q < 40; q++ {
-			text := genSelect(rng)
-			st, err := sqlparser.Parse(text)
-			if err != nil {
-				t.Fatalf("generated unparseable SQL %q: %v", text, err)
-			}
-			sel := st.(*sqlparser.Select)
+			checkCompiledMatchesInterpreter(t, db, genSelect(rng), parityOptions)
+		}
+	}
+}
 
-			want, wantErr := evalSelectInterp(db, sel)
-			ordered := len(sel.OrderBy) > 0
+// FuzzCompiledMatchesInterpreter is the differential fuzz target of the
+// same property: each seed builds a parity database and one generated
+// SELECT, and the compiled pipeline at Parallelism 1 and 4 (thresholds
+// forced down so the parallel path runs) must agree with the interpreter.
+func FuzzCompiledMatchesInterpreter(f *testing.F) {
+	for _, seed := range []int64{0, 1, 41, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		forceParallel(t)
+		rng := rand.New(rand.NewSource(seed))
+		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
+		checkCompiledMatchesInterpreter(t, db, genSelect(rng), []Options{{Parallelism: 1}, {Parallelism: 4}})
+	})
+}
 
-			for _, opts := range parityOptions {
-				got, gotErr := EvalSelectOpts(db, sel, opts)
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("%q opts=%+v: interp err=%v compiled err=%v", text, opts, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
-					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
-				}
-				wr, gr := renderRows(want), renderRows(got)
-				if sel.Limit == nil && sel.Offset == nil {
-					if strings.Join(sortedCopy(wr), "\n") != strings.Join(sortedCopy(gr), "\n") {
-						t.Fatalf("%q opts=%+v:\ninterp:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					if ordered && strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: ordered sequences differ\ninterp:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					continue
-				}
-				// LIMIT/OFFSET present.
-				if ordered {
-					// The generator guarantees a deterministic total order
-					// (unique-key tiebreak) whenever LIMIT rides on ORDER
-					// BY, so the prefix must match exactly.
-					if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: limited sequences differ\ninterp:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					continue
-				}
-				// LIMIT without ORDER BY: any |limit| rows of the full
-				// result are acceptable — check count and containment
-				// against the unlimited query.
-				noLim := *sel
-				noLim.Limit, noLim.Offset = nil, nil
-				full, err := evalSelectInterp(db, &noLim)
-				if err != nil {
-					t.Fatalf("%q: unlimited reference failed: %v", text, err)
-				}
-				if len(gr) != len(wr) {
-					t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
-				}
-				pool := map[string]int{}
-				for _, r := range renderRows(full) {
-					pool[r]++
-				}
-				for _, r := range gr {
-					if pool[r] == 0 {
-						t.Fatalf("%q opts=%+v: limited row %q not in full result", text, opts, r)
-					}
-					pool[r]--
-				}
+// checkCompiledMatchesInterpreter evaluates text through the interpreter
+// and through the compiled pipeline under each of optionSets: both must
+// fail, or both must answer alike — the exact row sequence when the query
+// orders by a unique key chain, multiset equality otherwise (SQL leaves
+// that order unspecified, and the executor's build-side choice may
+// legitimately differ from the interpreter's nesting).
+func checkCompiledMatchesInterpreter(t *testing.T, db *sqldb.Database, text string, optionSets []Options) {
+	t.Helper()
+	st, err := sqlparser.Parse(text)
+	if err != nil {
+		t.Fatalf("generated unparseable SQL %q: %v", text, err)
+	}
+	sel := st.(*sqlparser.Select)
+
+	want, wantErr := evalSelectInterp(db, sel)
+	ordered := len(sel.OrderBy) > 0
+
+	for _, opts := range optionSets {
+		got, gotErr := runSelect(db, sel, opts)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Fatalf("%q opts=%+v: interp err=%v compiled err=%v", text, opts, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+			t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
+		}
+		wr, gr := renderRows(want), renderRows(got)
+		if sel.Limit == nil && sel.Offset == nil {
+			if strings.Join(sortedCopy(wr), "\n") != strings.Join(sortedCopy(gr), "\n") {
+				t.Fatalf("%q opts=%+v:\ninterp:\n%s\ncompiled:\n%s",
+					text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 			}
+			if ordered && strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+				t.Fatalf("%q opts=%+v: ordered sequences differ\ninterp:\n%s\ncompiled:\n%s",
+					text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
+			}
+			continue
+		}
+		// LIMIT/OFFSET present.
+		if ordered {
+			// The generator guarantees a deterministic total order
+			// (unique-key tiebreak) whenever LIMIT rides on ORDER BY, so
+			// the prefix must match exactly.
+			if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+				t.Fatalf("%q opts=%+v: limited sequences differ\ninterp:\n%s\ncompiled:\n%s",
+					text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
+			}
+			continue
+		}
+		// LIMIT without ORDER BY: any |limit| rows of the full result are
+		// acceptable — check count and containment against the unlimited
+		// query.
+		noLim := *sel
+		noLim.Limit, noLim.Offset = nil, nil
+		full, err := evalSelectInterp(db, &noLim)
+		if err != nil {
+			t.Fatalf("%q: unlimited reference failed: %v", text, err)
+		}
+		if len(gr) != len(wr) {
+			t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
+		}
+		pool := map[string]int{}
+		for _, r := range renderRows(full) {
+			pool[r]++
+		}
+		for _, r := range gr {
+			if pool[r] == 0 {
+				t.Fatalf("%q opts=%+v: limited row %q not in full result", text, opts, r)
+			}
+			pool[r]--
 		}
 	}
 }
@@ -389,7 +412,7 @@ func TestIndexSeekMatchesScan(t *testing.T) {
 	if got := mustExec(t, db, `SELECT COUNT(*) FROM t1 x WHERE x.id = 7.5`); got.Rows[0][0].Int() != 0 {
 		t.Fatalf("fractional probe matched %v rows", got.Rows[0][0])
 	}
-	if _, err := Exec(db, `SELECT x.id FROM t1 x WHERE x.b = 3`); err == nil {
+	if _, err := Exec(db, `SELECT x.id FROM t1 x WHERE x.b = 3`, Options{}); err == nil {
 		t.Fatal("text = int comparison should error, not seek")
 	}
 }

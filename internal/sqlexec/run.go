@@ -23,16 +23,11 @@ import (
 	"crosse/internal/sqlval"
 )
 
-// Run executes the plan and materialises the result.
-func (p *SelectPlan) Run() (*Result, error) {
-	return p.RunContext(nil)
-}
-
 // RunContext executes the plan bounded by ctx and materialises the result.
 // Scans over context-aware relations (remote sources) honour the context's
 // deadline and cancellation; local in-memory scans ignore it. Under
 // Options.PartialResults the result's SkippedSources names any unavailable
-// sources that were skipped. A nil ctx behaves like Run.
+// sources that were skipped. A nil ctx leaves every scan unbounded.
 func (p *SelectPlan) RunContext(ctx context.Context) (*Result, error) {
 	res := &Result{Columns: append([]string(nil), p.headers...)}
 	arena := sqlval.NewRowArena(len(p.headers))
@@ -48,21 +43,6 @@ func (p *SelectPlan) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// Stream executes the plan, pushing each output row to fn; fn returning
-// false stops execution early. The row slice is reused between calls —
-// callers that retain rows must copy them.
-func (p *SelectPlan) Stream(fn func(row []sqlval.Value) bool) error {
-	_, err := p.StreamContext(nil, fn)
-	return err
-}
-
-// StreamContext is Stream bounded by ctx (see RunContext); it additionally
-// returns the names of sources skipped under Options.PartialResults.
-func (p *SelectPlan) StreamContext(ctx context.Context, fn func(row []sqlval.Value) bool) ([]string, error) {
-	info, err := p.StreamInfoContext(ctx, fn)
-	return info.SkippedSources, err
-}
-
 // StreamInfo reports per-execution metadata of one plan run.
 type StreamInfo struct {
 	// SkippedSources names sources that were down and skipped under
@@ -75,8 +55,12 @@ type StreamInfo struct {
 	ParallelFallback string
 }
 
-// StreamInfoContext is StreamContext returning full per-run metadata,
-// including why the run fell back to the serial pipeline (if it did).
+// StreamInfoContext executes the plan bounded by ctx (see RunContext),
+// pushing each output row to fn; fn returning false stops execution
+// early. The row slice is reused between calls — callers that retain rows
+// must copy them. It returns the run's metadata: the sources skipped
+// under Options.PartialResults and why the run fell back to the serial
+// pipeline (if it did).
 func (p *SelectPlan) StreamInfoContext(ctx context.Context, fn func(row []sqlval.Value) bool) (StreamInfo, error) {
 	sh := &runShared{ctx: ctx, partial: p.opts.PartialResults}
 	r := &runner{p: p, yield: fn, shared: sh}
@@ -888,7 +872,7 @@ func (s *topKSorter) flush(yield func([]sqlval.Value) bool) error {
 // SortKey is one ORDER BY key of SortRows. Expr, when set, is evaluated
 // over the row; Slot, when >= 0, is the row position that already holds
 // the key's value. With both, Slot serves each row whose Expr evaluation
-// fails: the projected-then-underlying resolution Compile gives ORDER BY.
+// fails: the projected-then-underlying resolution CompileOpts gives ORDER BY.
 type SortKey struct {
 	Expr *CompiledExpr
 	Slot int
