@@ -17,14 +17,6 @@ import (
 // solution.
 type Binding map[string]rdf.Term
 
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // Result is the outcome of query evaluation.
 type Result struct {
 	// Vars is the projected variable list in order.

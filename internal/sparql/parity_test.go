@@ -33,6 +33,14 @@ func evalQuery(g rdf.IDGraph, q *Query, o Options) (*Result, error) {
 
 // --- reference evaluator (port of the seed engine) ---
 
+func (b Binding) clone() Binding {
+	c := make(Binding, len(b)+1)
+	for k, v := range b {
+		c[k] = v
+	}
+	return c
+}
+
 func refEvalQuery(g rdf.Graph, q *Query) (*Result, error) {
 	sols, err := refEvalGroup(g, q.Where, []Binding{{}})
 	if err != nil {
