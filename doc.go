@@ -104,13 +104,13 @@
 // before the first worker starts (hash tables and materialised join
 // sides in SQL, the resolved constant table and one read transaction in
 // SPARQL, whose rdf.IDReader probes are pure reads under the transaction
-// lock). SQL heap tables implement
-// sqldb.StableRowScanner — scanned rows are immutable in place, updates
-// replace rows wholesale — so materialisation retains the stored rows
-// zero-copy. Output is buffered per morsel (or stamped with its
-// (morsel, sequence) arrival position) and merged in morsel order, which
-// makes the parallel result byte-identical to the serial one: same rows,
-// same order, same ties, same first error.
+// lock). SQL heap tables implement sqldb.StableRowScanner — scanned rows
+// are immutable in place, updates replace rows wholesale — so
+// materialisation retains the stored rows zero-copy. Output is buffered
+// per morsel (or stamped with its (morsel, sequence) arrival position)
+// and merged in morsel order, which makes the parallel result
+// byte-identical to the serial one: same rows, same order, same ties,
+// same first error.
 //
 // Every parallel reduction follows one rule: workers may compute their
 // partials in any interleaving, but partials FOLD in morsel order, and
@@ -130,8 +130,8 @@
 // completed-morsel prefix can prove a LIMIT satisfied and cancel the
 // remaining morsels. Shapes that still cannot merge exactly fall back to
 // serial — ASK (first match wins), non-mergeable aggregate functions,
-// foreign-table scans, and inputs below the morsel threshold where fan-out costs more than it
-// wins — and every fallback names its reason:
+// foreign-table scans, and inputs below the morsel threshold where
+// fan-out costs more than it wins — and every fallback names its reason:
 // sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
 // ("base-sql: ...", "sparql: ..."), and the REST stats
@@ -289,8 +289,9 @@
 // max 1000). Execution options are unified in core.ExecOptions — one
 // struct, set with Enricher.SetExecOptions and projected into
 // sqlexec.Options and sparql.Options — and Enricher.QueryStatsContext is
-// the one SESQL entry point (Enricher.Query wraps it). docs/API.md is the contract; the CI api-contract
-// job boots the real binary and fails on envelope drift.
+// the one SESQL entry point (Enricher.Query wraps it). docs/API.md is the
+// contract; the CI api-contract job boots the real binary and fails on
+// envelope drift.
 //
 // In front of the handlers sits internal/serve, the heavy-traffic tier:
 //
