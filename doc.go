@@ -282,8 +282,8 @@
 // under /api/v1/... (the unversioned /api/... aliases of an earlier
 // release are retired and answer 404), and every error
 // response is a uniform {"error": {code, message, details}} envelope with
-// a typed error→status mapping (kb.ErrUnknownUser/ErrNoStatement → 404,
-// kb.DupError → 409, serve.ErrOverloaded → 429, fdw.ErrSourceDown and
+// a typed error→status mapping (kb.ErrUnknownUser/ErrNoStatement and
+// unknown paths → 404, a wrong method → 405, kb.DupError → 409, serve.ErrOverloaded → 429, fdw.ErrSourceDown and
 // core.ErrWedged → 503, parse/validation → 400). Collection endpoints
 // paginate with limit/offset plus a pre-pagination total (default 100,
 // max 1000). Execution options are unified in core.ExecOptions — one

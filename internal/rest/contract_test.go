@@ -103,6 +103,8 @@ func TestV1ErrorEnvelopeContract(t *testing.T) {
 		{"missing statement retract", "DELETE", "/api/v1/statements/stmt-99?user=alice", "", http.StatusNotFound, codeNotFound},
 		{"wal not configured", "GET", "/api/v1/admin/wal", "", http.StatusConflict, codeConflict},
 		{"sources not configured", "GET", "/api/v1/admin/sources", "", http.StatusConflict, codeConflict},
+		{"unknown path", "GET", "/api/v1/nope", "", http.StatusNotFound, codeNotFound},
+		{"wrong method", "PUT", "/api/v1/users", `{"name":"bob"}`, http.StatusMethodNotAllowed, codeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -293,16 +295,27 @@ func TestV1PaginationContract(t *testing.T) {
 }
 
 // TestLegacyAliasesRetired pins that the unversioned /api/... aliases are
-// gone: only the /api/v1 surface answers.
+// gone: only the /api/v1 surface answers, and the 404 carries the error
+// envelope. A wrong method on a v1 path names the allowed ones.
 func TestLegacyAliasesRetired(t *testing.T) {
 	ts, _ := newV1Server(t, 0, 0)
 	resp, err := http.Get(ts.URL + "/api/users")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/users: %d, want 404", resp.StatusCode)
+		t.Errorf("GET /api/users: %d, want 404", resp.StatusCode)
+	}
+	if e := envelope(t, resp); e.Code != codeNotFound {
+		t.Errorf("GET /api/users: code %q, want %q", e.Code, codeNotFound)
+	}
+	resp, err = http.Get(ts.URL + "/api/v1/query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
+		t.Errorf("GET /api/v1/query: %d Allow %q, want 405 Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 
@@ -319,8 +332,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	resp = postJSON(t, ts.URL+"/api/v1/query", `{"user":"alice","sesql":"SELECT 1"}`)
 	resp.Body.Close()
+	resp, err := http.Get(ts.URL + "/api/users") // unrouted: adds no label
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/api/v1/metrics")
+	resp, err = http.Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +364,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
+	}
+	for label := range out.Endpoints {
+		if !strings.Contains(label, " /api/v1/") {
+			t.Errorf("unexpected metrics label %q", label)
+		}
 	}
 	list := out.Endpoints["GET /api/v1/users"]
 	if list.Requests != 2 {

@@ -29,12 +29,13 @@ type errorEnvelope struct {
 
 // Error codes. Stable API surface — tests and clients match on these.
 const (
-	codeBadRequest  = "bad_request"
-	codeNotFound    = "not_found"
-	codeConflict    = "conflict"
-	codeOverloaded  = "overloaded"
-	codeUnavailable = "unavailable"
-	codeInternal    = "internal"
+	codeBadRequest       = "bad_request"
+	codeNotFound         = "not_found"
+	codeMethodNotAllowed = "method_not_allowed"
+	codeConflict         = "conflict"
+	codeOverloaded       = "overloaded"
+	codeUnavailable      = "unavailable"
+	codeInternal         = "internal"
 )
 
 // classify maps an error to its HTTP status and envelope code. Unmatched

@@ -132,7 +132,28 @@ func (s *Server) Handler() http.Handler {
 	route("GET /api/v1/metrics", s.metricsSnapshot)
 	// The liveness probe predates the versioned surface and stays put.
 	route("GET /healthz", s.healthz)
+	// Whatever no route takes still answers with the error envelope. It
+	// is not instrumented, so unknown paths add no metrics label.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { unrouted(mux, w, r) })
 	return mux
+}
+
+// unrouted answers a request no route takes: 405 with an Allow header
+// when the path has routes under other methods, 404 otherwise.
+func unrouted(mux *http.ServeMux, w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+		if _, p := mux.Handler(&http.Request{Method: m, URL: r.URL, Host: r.Host}); p != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) > 0 {
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		writeErrorCode(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
+			fmt.Errorf("rest: %s %s: method not allowed", r.Method, r.URL.Path), nil)
+		return
+	}
+	writeErrorCode(w, http.StatusNotFound, codeNotFound, fmt.Errorf("rest: no route for %s", r.URL.Path), nil)
 }
 
 // instrument wraps a handler with request metrics under the label name.

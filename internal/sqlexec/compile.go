@@ -294,12 +294,12 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 			underCE, underErr := compileExpr(ob.Expr, underEnv)
 			if p.distinct {
 				// Duplicates collapse into one output row, so a key must
-				// read that row only: repeat a select item or name output
-				// columns. A key over other columns would take its value
-				// from whichever duplicate came first, which depends on
-				// the join order.
-				for i, it := range items {
-					if it.Expr.SQL() == ob.Expr.SQL() {
+				// read that row only: name output columns, or else repeat
+				// a select item. A key over other columns would take its
+				// value from whichever duplicate came first, which depends
+				// on the join order.
+				for i := 0; outErr != nil && i < len(items); i++ {
+					if repeatsItem(ob.Expr, items[i].Expr, c.layout) {
 						outCE, outErr = cSlot{slot: i}, nil
 					}
 				}

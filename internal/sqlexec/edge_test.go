@@ -95,7 +95,9 @@ func mustParseSelect(t *testing.T, q string) *sqlparser.Select {
 // row. A key over other columns takes its value from whichever duplicate
 // arrives first, which depends on the join order, so both the compiled
 // path and the interpreter reject it — on an empty table too — and accept
-// keys that repeat a select item or name output columns.
+// keys that name output columns or repeat a select item, a column
+// reference however qualified included. An output column name wins over
+// a select item that reads the same name.
 func TestDistinctOrderByKeys(t *testing.T) {
 	db := sampleDB(t)
 	mustExec(t, db, `CREATE TABLE empty (a INT, b TEXT)`)
@@ -118,6 +120,11 @@ func TestDistinctOrderByKeys(t *testing.T) {
 		`SELECT DISTINCT UPPER(elem_name) AS u FROM elem_contained ORDER BY u`,
 		`SELECT DISTINCT a + 1 FROM empty ORDER BY a + 1`,
 		`SELECT DISTINCT landfill_name, COUNT(*) FROM elem_contained GROUP BY landfill_name ORDER BY COUNT(*), landfill_name`,
+		`SELECT DISTINCT elem_name FROM elem_contained e ORDER BY e.elem_name`,
+		`SELECT DISTINCT elem_name FROM elem_contained ORDER BY elem_contained.elem_name DESC`,
+		`SELECT DISTINCT elem_name, l.city FROM elem_contained e JOIN landfill l ON e.landfill_name = l.name ORDER BY city, e.elem_name`,
+		`SELECT DISTINCT l.city AS town FROM elem_contained e JOIN landfill l ON e.landfill_name = l.name ORDER BY l.city DESC`,
+		`SELECT DISTINCT * FROM landfill l ORDER BY l.city, l.name`,
 	} {
 		ref, err := evalSelectInterp(db, mustParseSelect(t, q))
 		if err != nil {
@@ -129,6 +136,18 @@ func TestDistinctOrderByKeys(t *testing.T) {
 				t.Errorf("%q opts=%+v:\n got %s\nwant %s", q, opts, g, w)
 			}
 		}
+	}
+	q := `SELECT DISTINCT landfill_name AS elem_name, elem_name AS e FROM elem_contained ORDER BY elem_name, e`
+	want := "a|Lead,a|Mercury,a|Zinc,b|Mercury,c|Gold,c|Lead"
+	if got := strings.Join(rowsAsStrings(mustExec(t, db, q)), ","); got != want {
+		t.Errorf("%q: got %s, want %s", q, got, want)
+	}
+	ref, err := evalSelectInterp(db, mustParseSelect(t, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rowsAsStrings(ref), ","); got != want {
+		t.Errorf("%q interp: got %s, want %s", q, got, want)
 	}
 }
 

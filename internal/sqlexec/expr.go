@@ -331,6 +331,24 @@ func expandItems(sel *sqlparser.Select, cols []ScopeCol) ([]sqlparser.SelectItem
 	return out, nil
 }
 
+// repeatsItem reports whether an ORDER BY key repeats a select item over
+// the FROM layout cols: the same expression text, or column references
+// that resolve to the same column however each is qualified.
+func repeatsItem(key, item sqlparser.Expr, cols []ScopeCol) bool {
+	if key.SQL() == item.SQL() {
+		return true
+	}
+	kr, ok := key.(*sqlparser.ColRef)
+	ir, ok2 := item.(*sqlparser.ColRef)
+	if !ok || !ok2 {
+		return false
+	}
+	env := &compileEnv{cols: cols}
+	k, err := env.lookup(kr.Qualifier, kr.Name)
+	i, err2 := env.lookup(ir.Qualifier, ir.Name)
+	return err == nil && err2 == nil && k == i
+}
+
 // applyScalarFunc applies a scalar function to already-evaluated
 // arguments. Shared by the interpreter and the compiled executor; name and
 // arity validation happens here, at evaluation time, in both paths.

@@ -377,9 +377,9 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 		return nil, err
 	}
 
-	// Under DISTINCT each ORDER BY key reads the output row only: the
-	// select item it repeats (its position), or output columns by name
-	// (-1). Any other key is rejected whatever the data.
+	// Under DISTINCT each ORDER BY key reads the output row only: output
+	// columns by name (-1), or else the select item it repeats (its
+	// position). Any other key is rejected whatever the data.
 	var distinctItem []int
 	if sel.Distinct && len(sel.OrderBy) > 0 {
 		items, err := expandItems(sel, base.cols)
@@ -388,13 +388,15 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 		}
 		for _, ob := range sel.OrderBy {
 			j := -1
-			for i, it := range items {
-				if it.Expr.SQL() == ob.Expr.SQL() {
-					j = i
+			if HasAggregate(ob.Expr) || !resolvable(ob.Expr, out) {
+				for i := 0; j < 0 && i < len(items); i++ {
+					if repeatsItem(ob.Expr, items[i].Expr, base.cols) {
+						j = i
+					}
 				}
-			}
-			if j < 0 && (HasAggregate(ob.Expr) || !resolvable(ob.Expr, out)) {
-				return nil, fmt.Errorf("sqlexec: for SELECT DISTINCT, ORDER BY expression %s must appear in the select list", ob.Expr.SQL())
+				if j < 0 {
+					return nil, fmt.Errorf("sqlexec: for SELECT DISTINCT, ORDER BY expression %s must appear in the select list", ob.Expr.SQL())
+				}
 			}
 			distinctItem = append(distinctItem, j)
 		}

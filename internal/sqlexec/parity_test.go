@@ -10,6 +10,7 @@ package sqlexec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -80,14 +81,10 @@ func parityDB(t *testing.T, rng *rand.Rand, n1, n2 int) *sqldb.Database {
 // (alias y). Predicates are type-safe (errors would otherwise diverge
 // between the lazy interpreter and the early-stopping pipeline), and
 // ORDER BY always ends with the unique x.id when a LIMIT rides along, so
-// the expected prefix is deterministic.
+// the expected prefix is deterministic. A DISTINCT query also projects
+// its ORDER BY columns, which SELECT DISTINCT requires.
 func genSelect(rng *rand.Rand) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if rng.Intn(4) == 0 {
-		b.WriteString("DISTINCT ")
-	}
-
+	distinct := rng.Intn(4) == 0
 	twoTables := rng.Intn(3) > 0
 	joinStyle := rng.Intn(4) // 0 inner equi, 1 left equi, 2 comma+where, 3 non-equi inner
 	grouped := rng.Intn(4) == 0
@@ -97,27 +94,31 @@ func genSelect(rng *rand.Rand) string {
 	if twoTables {
 		items = append(items, "y.k", "y.v", "y.id")
 	}
+	var proj []string
+	star := false
 	if grouped {
 		aggs := []string{"COUNT(*)", "SUM(x.a)", "AVG(x.c)", "MIN(x.b)", "MAX(x.c)", "COUNT(DISTINCT x.b)"}
-		b.WriteString("x.b AS g, ")
-		k := rng.Intn(3) + 1
-		for i := 0; i < k; i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(aggs[rng.Intn(len(aggs))])
+		proj = append(proj, "x.b AS g")
+		for i := rng.Intn(3) + 1; i > 0; i-- {
+			proj = append(proj, aggs[rng.Intn(len(aggs))])
 		}
 	} else {
-		k := rng.Intn(3) + 1
-		for i := 0; i < k; i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(items[rng.Intn(len(items))])
+		for i := rng.Intn(3) + 1; i > 0; i-- {
+			proj = append(proj, items[rng.Intn(len(items))])
 		}
-		if rng.Intn(6) == 0 {
-			b.WriteString(", *")
+		star = rng.Intn(6) == 0
+	}
+	// query assembles the select list in front of the clauses in b.
+	var b strings.Builder
+	query := func() string {
+		head := "SELECT "
+		if distinct {
+			head += "DISTINCT "
 		}
+		if star {
+			proj = append(proj, "*")
+		}
+		return head + strings.Join(proj, ", ") + b.String()
 	}
 
 	b.WriteString(" FROM t1 x")
@@ -179,21 +180,31 @@ func genSelect(rng *rand.Rand) string {
 				b.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(5)+1))
 			}
 		}
-		return b.String()
+		return query()
 	}
 
-	tiebreak := ""
-	if twoTables {
-		tiebreak = ", y.id"
-	}
+	var order []string
 	switch rng.Intn(3) {
 	case 0:
-		b.WriteString(" ORDER BY x.a DESC, x.id" + tiebreak)
+		order = []string{"x.a DESC", "x.id"}
 	case 1:
-		b.WriteString(" ORDER BY x.b, x.id DESC" + tiebreak)
+		order = []string{"x.b", "x.id DESC"}
 	default:
 		if limit {
-			b.WriteString(" ORDER BY x.id" + tiebreak)
+			order = []string{"x.id"}
+		}
+	}
+	if order != nil && twoTables {
+		order = append(order, "y.id")
+	}
+	if order != nil {
+		b.WriteString(" ORDER BY " + strings.Join(order, ", "))
+	}
+	if distinct {
+		for _, key := range order {
+			if col := strings.TrimSuffix(key, " DESC"); !slices.Contains(proj, col) {
+				proj = append(proj, col)
+			}
 		}
 	}
 	if limit {
@@ -202,7 +213,7 @@ func genSelect(rng *rand.Rand) string {
 			b.WriteString(fmt.Sprintf(" OFFSET %d", rng.Intn(4)))
 		}
 	}
-	return b.String()
+	return query()
 }
 
 func renderRows(res *Result) []string {
@@ -278,10 +289,12 @@ func FuzzCompiledMatchesInterpreter(f *testing.F) {
 
 // checkCompiledMatchesInterpreter evaluates text through the interpreter
 // and through the compiled pipeline under each of optionSets: both must
-// fail, or both must answer alike — the exact row sequence when the query
-// orders by a unique key chain, multiset equality otherwise (SQL leaves
-// that order unspecified, and the executor's build-side choice may
-// legitimately differ from the interpreter's nesting).
+// answer alike — the exact row sequence when the query orders by a unique
+// key chain, multiset equality otherwise (SQL leaves that order
+// unspecified, and the executor's build-side choice may legitimately
+// differ from the interpreter's nesting). genSelect builds only valid
+// queries, so an error either way fails: one that failed both ways would
+// compare no rows.
 func checkCompiledMatchesInterpreter(t *testing.T, db *sqldb.Database, text string, optionSets []Options) {
 	t.Helper()
 	st, err := sqlparser.Parse(text)
@@ -290,16 +303,16 @@ func checkCompiledMatchesInterpreter(t *testing.T, db *sqldb.Database, text stri
 	}
 	sel := st.(*sqlparser.Select)
 
-	want, wantErr := evalSelectInterp(db, sel)
+	want, err := evalSelectInterp(db, sel)
+	if err != nil {
+		t.Fatalf("%q: interp: %v", text, err)
+	}
 	ordered := len(sel.OrderBy) > 0
 
 	for _, opts := range optionSets {
-		got, gotErr := runSelect(db, sel, opts)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("%q opts=%+v: interp err=%v compiled err=%v", text, opts, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
+		got, err := runSelect(db, sel, opts)
+		if err != nil {
+			t.Fatalf("%q opts=%+v: compiled: %v", text, opts, err)
 		}
 		if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
 			t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
